@@ -60,13 +60,15 @@ bench-gate:
 	$(GO) run ./cmd/benchdiff -time-threshold=-1 -alloc-threshold=0.05 \
 		BENCH_results.json bench_smoke.json
 
-# Per-site allocation budget: run one attributed Figure 7a matrix and print
-# the allocs-by-subsystem breakdown, then enforce the checked-in per-site
-# ceilings and the steady-state per-request pins against the pooled engine.
+# Allocation budget: enforce the whole-cell budget and the steady-state
+# per-request pins, then profile one Figure 7a matrix and print where its
+# heap objects come from (the runtime heap profile's alloc_objects top list).
 bench-alloc:
-	$(GO) run ./cmd/oocbench -fig 7a -matrix 96 -hostperf
-	$(GO) test -run='PerSiteAllocBudget|SteadyStateAllocs|HostPerfAttributionCoverage' \
-		-count=1 -v ./internal/experiment ./internal/ssd
+	$(GO) test -run='PerSiteAllocBudget|SteadyStateAlloc' -count=1 -v \
+		./internal/experiment ./internal/ssd ./internal/obs ./internal/obs/attrib ./internal/sim
+	@mkdir -p profile
+	$(GO) run ./cmd/oocbench -fig 7a -matrix 96 -hostperf -memprofile profile/bench-alloc.pprof
+	$(GO) tool pprof -sample_index=alloc_objects -top profile/bench-alloc.pprof | head -n 25
 
 # Compare two archived bench runs by hand: make benchdiff OLD=a.json NEW=b.json
 OLD ?= BENCH_results.json

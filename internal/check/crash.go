@@ -20,12 +20,14 @@ import (
 // cut interrupted — the version or trim that was in flight. Versions here
 // count host writes per page exactly like the FTL's durable version tags,
 // so matching numbers mean bit-identical content under the oracle's
-// content-hash convention (hash = f(seed, lpn, version)).
+// content-hash convention (hash = f(seed, lpn, version)). preloaded marks a
+// page of the staged dataset: version 0 counts as acknowledged for it.
 type pageShadow struct {
 	acked        uint64
 	trimmed      bool
 	inflight     uint64
 	inflightTrim bool
+	preloaded    bool
 }
 
 // CrashResult is one crash episode's outcome.
@@ -95,6 +97,12 @@ func CrashReplay(sc StackConfig, ops []trace.BlockOp, plan fault.CrashPlan) (Cra
 			shadow[lpn] = sh
 		}
 		return sh
+	}
+	// The preloaded dataset is acknowledged data too: every staged page
+	// must survive as version 0 until the host overwrites or trims it,
+	// however often GC moves it.
+	for lpn := int64(0); lpn < (sc.preload+ps-1)/ps; lpn++ {
+		at(lpn).preloaded = true
 	}
 	ver := make(map[int64]uint64)
 	for _, op := range ops {
@@ -190,10 +198,13 @@ func checkDurability(rf *ftl.FTL, shadow map[int64]*pageShadow, salvaged bool) [
 	for _, lpn := range lpns {
 		sh := shadow[lpn]
 		ppn, gotVer, mapped := rf.Mapping(lpn)
+		programmed := false
 		if mapped {
 			// Clause (2): the mapping must point at a fully programmed,
 			// untorn media page tagged with this very (lpn, version).
-			oob, programmed, torn := media.PageState(ppn)
+			var oob ftl.OOB
+			var torn bool
+			oob, programmed, torn = media.PageState(ppn)
 			switch {
 			case torn:
 				out = append(out, Violation{Kind: "durability",
@@ -227,6 +238,20 @@ func checkDurability(rf *ftl.FTL, shadow map[int64]*pageShadow, salvaged bool) [
 			if mapped && !okVer(gotVer) {
 				out = append(out, Violation{Kind: "durability",
 					Detail: fmt.Sprintf("lpn %d trimmed but recovered v%d (acked v%d)", lpn, gotVer, sh.acked)})
+			}
+		case sh.acked == 0 && sh.preloaded:
+			// Untouched preloaded data: still version 0, on a page that
+			// holds it (an erased identity slot is data loss).
+			switch {
+			case !mapped:
+				out = append(out, Violation{Kind: "durability",
+					Detail: fmt.Sprintf("preloaded lpn %d lost: unmapped after recovery", lpn)})
+			case gotVer != 0 && !okVer(gotVer):
+				out = append(out, Violation{Kind: "durability",
+					Detail: fmt.Sprintf("preloaded lpn %d recovered v%d", lpn, gotVer)})
+			case gotVer == 0 && !programmed:
+				out = append(out, Violation{Kind: "durability",
+					Detail: fmt.Sprintf("preloaded lpn %d lost: maps to erased page %d", lpn, ppn)})
 			}
 		case sh.acked > 0:
 			if !mapped {

@@ -30,6 +30,13 @@ type StackConfig struct {
 	Durable ftl.DurableConfig
 	// Crash, when set, arms a deterministic power cut on the injector.
 	Crash *fault.CrashPlan
+
+	// preload stages the first preload bytes of the logical space on an FTL
+	// stack as identity-mapped resident data, so the workload overwrites a
+	// preloaded extent. It is a test hook: only this package's tests set
+	// it, and it lives here because CrashSweep and CrashReplay rebuild the
+	// stack from the config at every crash point.
+	preload int64
 }
 
 // SmallGeometry is the episode device: large enough to exercise striping,
@@ -72,6 +79,11 @@ func buildStack(sc StackConfig) (stack, error) {
 		f, err := ftl.New(geo, cell, ftl.Config{Durable: sc.Durable})
 		if err != nil {
 			return stack{}, err
+		}
+		if sc.preload > 0 {
+			if err := f.Preload(sc.preload); err != nil {
+				return stack{}, err
+			}
 		}
 		inner = f
 	}

@@ -378,12 +378,13 @@ func (f *FTL) maybeGC(ops []nvm.PageOp) []nvm.PageOp {
 	return ops
 }
 
-// pickVictim chooses the sealed, non-preloaded superblock with the fewest
-// valid pages (greedy GC).
+// pickVictim chooses the sealed superblock with the fewest valid pages
+// (greedy GC). Preloaded superblocks compete like any other: their valid
+// count drops as the host overwrites or trims the identity-mapped dataset.
 func (f *FTL) pickVictim() int64 {
 	best := int64(-1)
 	bestValid := f.spb + 1
-	for i := f.preloaded; i < f.super; i++ {
+	for i := int64(0); i < f.super; i++ {
 		s := &f.sb[i]
 		if s.free || s.bad || !s.sealed || i == f.active {
 			continue
@@ -408,19 +409,9 @@ func (f *FTL) collect(ops []nvm.PageOp, victim int64) []nvm.PageOp {
 	start := len(ops)
 	base := victim * f.spb
 	for p := base; p < base+f.spb; p++ {
-		lpn, ok := f.p2l[p]
-		if !ok {
-			continue
-		}
-		// Read the stale location, then program into the active log.
-		ops = append(ops, nvm.PageOp{Op: nvm.OpRead, Loc: f.Locate(p), PPN: p})
-		f.relocated++
-		delete(f.p2l, p)
-		f.sb[victim].valid--
-		delete(f.l2p, lpn)
-		// Re-program through the normal path (may not recurse into GC since
-		// the active superblock has room or a free one exists).
-		ops = f.program(ops, lpn, false)
+		// Re-programs go through the normal path, which cannot recurse
+		// into GC here (maybeGC guards against reentry).
+		ops, _ = f.relocatePage(ops, p)
 	}
 	// Erase every eraseblock of the superblock: one per die-plane.
 	for r := int64(0); r < f.rowsz; r++ {
@@ -559,28 +550,39 @@ func (f *FTL) RetireBlock(ppn int64) nvm.Retirement {
 		ops = f.flushJournal(ops)
 	}
 	base := v * f.spb
-	pre := f.preloaded * f.spb
 	for p := base; p < base+f.spb; p++ {
-		lpn, mapped := f.p2l[p]
-		if !mapped {
-			if p >= pre || f.dead[p] {
-				continue
-			}
-			lpn = p // still-valid identity-mapped preloaded page
+		var moved bool
+		if ops, moved = f.relocatePage(ops, p); moved {
+			f.probe.Count("ftl.retire.relocated_pages", 1)
 		}
-		ops = append(ops, nvm.PageOp{Op: nvm.OpRead, Loc: f.Locate(p), PPN: p})
-		f.relocated++
-		f.probe.Count("ftl.retire.relocated_pages", 1)
-		if mapped {
-			delete(f.p2l, p)
-			delete(f.l2p, lpn)
-			s.valid--
-		}
-		// program() handles the identity-slot invalidation for preloaded
-		// pages and appends the new copy to the log.
-		ops = f.program(ops, lpn, false)
 	}
 	return nvm.Retirement{Ops: ops, Retired: true, OK: true}
+}
+
+// relocatePage moves the valid page at physical slot p, if there is one,
+// into the log: it appends the read of p and the re-program of its logical
+// page to ops and reports whether p held valid data. A slot is valid when
+// it is mapped, or when it still holds live identity-mapped preloaded data
+// (neither overwritten nor trimmed). GC and block retirement share this
+// walk, so a preloaded superblock is reclaimable like any other.
+func (f *FTL) relocatePage(ops []nvm.PageOp, p int64) ([]nvm.PageOp, bool) {
+	lpn, mapped := f.p2l[p]
+	if !mapped {
+		if p >= f.preloaded*f.spb || f.dead[p] {
+			return ops, false
+		}
+		lpn = p
+	}
+	ops = append(ops, nvm.PageOp{Op: nvm.OpRead, Loc: f.Locate(p), PPN: p})
+	f.relocated++
+	if mapped {
+		delete(f.p2l, p)
+		delete(f.l2p, lpn)
+		f.sb[f.superOf(p)].valid--
+	}
+	// program() invalidates a preloaded identity slot itself (marking it
+	// dead) and appends the new copy to the log.
+	return f.program(ops, lpn, false), true
 }
 
 // WriteAmplification returns NAND writes per host write (1.0 = none).

@@ -172,7 +172,8 @@ func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL,
 	// with its alloc record aboard). A tag wins when its version exceeds
 	// the replayed one, or matches it while the replayed mapping's media
 	// page is gone — the unflushed tail of a GC relocation whose victim
-	// erase did land.
+	// erase did land. A live preloaded page has no mapping to replay; its
+	// identity slot plays that part.
 	if f.active >= 0 {
 		base := f.active * f.spb
 		prePages := f.preloaded * f.spb
@@ -189,8 +190,12 @@ func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL,
 			}
 			lpn := oob.LPN
 			cur, mapped := f.l2p[lpn]
+			held := mapped
+			if !mapped && lpn < prePages && !f.dead[lpn] {
+				cur, held = lpn, true // the live identity slot
+			}
 			apply := oob.Ver > f.dur.ver[lpn]
-			if !apply && oob.Ver == f.dur.ver[lpn] && mapped && cur != ppn {
+			if !apply && oob.Ver == f.dur.ver[lpn] && held && cur != ppn {
 				if got, ok := m.data[cur]; !ok || got.LPN != lpn {
 					apply = true
 				}
@@ -265,7 +270,12 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 		}
 		if r.A < f.preloaded*f.spb {
 			if _, had := f.l2p[r.A]; !had && !f.dead[r.A] {
+				// The placement displaces the live identity slot, which
+				// stays the rollback target until the slot is erased.
 				f.dead[r.A] = true
+				if prev != nil {
+					prev[r.A] = superseded{ppn: r.A, ver: f.dur.ver[r.A]}
+				}
 			}
 		}
 		f.l2p[r.A] = r.B
@@ -274,6 +284,9 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 		}
 	case recTrim:
 		delete(f.l2p, r.A)
+		// The copy the trimmed placement displaced is stale too: a later
+		// torn placement of this lpn must not roll back onto it.
+		delete(prev, r.A)
 		if r.V > f.dur.ver[r.A] {
 			f.dur.ver[r.A] = r.V
 		}
@@ -302,10 +315,17 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 
 // rebuild reconstructs everything derivable — p2l, valid counts, free
 // flags, the wear heap — from the validated mapping and the media
-// residue, then seals the log (the next write allocates a fresh
-// superblock and, with sinceCkpt saturated, checkpoints immediately,
-// fencing off any sequence gap the cut left in the journal).
+// residue. A writable mount reopens the log head after its last programmed
+// or torn slot; a read-only one seals it. Either way sinceCkpt is
+// saturated, so the next write checkpoints immediately, fencing off any
+// sequence gap the cut left in the journal.
+//
+// Reopening matters when the cut lands mid-GC: the victim's erase has not
+// landed, so it is not free, and sealing the half-filled relocation target
+// as well could leave the mount without a single superblock to collect
+// into.
 func (f *FTL) rebuild(m *Media) {
+	open := f.active
 	for ppn := range f.p2l {
 		delete(f.p2l, ppn)
 	}
@@ -347,7 +367,7 @@ func (f *FTL) rebuild(m *Media) {
 			s.free = false
 			continue
 		}
-		s.free = residue[i] == 0 && valid[i] == 0 && i >= f.preloaded
+		s.free = residue[i] == 0 && valid[i] == 0
 		if s.free {
 			s.sealed = false
 			heap.Push(&f.freeHeap, wearEntry{id: i, wear: s.wear})
@@ -355,6 +375,19 @@ func (f *FTL) rebuild(m *Media) {
 	}
 	f.active = -1
 	f.writePtr = 0
+	if open >= 0 && !f.readOnly && !f.sb[open].bad && !f.sb[open].free {
+		base := open * f.spb
+		next := int64(0)
+		for slot := int64(0); slot < f.spb; slot++ {
+			if _, ok := m.data[base+slot]; ok || m.torn[base+slot] {
+				next = slot + 1
+			}
+		}
+		if next < f.spb {
+			f.active, f.writePtr = open, next
+			f.sb[open].sealed = false
+		}
+	}
 	f.dur.sinceCkpt = f.dur.ckptEvery
 }
 

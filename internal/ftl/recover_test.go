@@ -231,3 +231,80 @@ func TestDurableStatsAndOverhead(t *testing.T) {
 		t.Fatalf("non-durable FTL reports metadata traffic: %+v", s)
 	}
 }
+
+// TestRecoverPreloadRelocationAfterVictimErase cuts power at every
+// boundary of the first request whose GC collects a preloaded superblock,
+// up to just past the victim's erase. Every preloaded page the host never
+// wrote must survive as version 0 on a page that holds it. A relocated
+// copy carries the same version 0 tag as the identity slot it left, so
+// recovery must adopt it from the open superblock's scan once the victim
+// erase landed, and must fall back to the identity slot when the copy's
+// placement record was flushed but its program never landed.
+func TestRecoverPreloadRelocationAfterVictimErase(t *testing.T) {
+	geo, cell := smallGeo(), nvm.Params(nvm.SLC)
+	cfg := Config{ReserveSuperblocks: 2, Durable: DurableConfig{Enabled: true, CheckpointEveryPages: 1 << 30}}
+	// run overwrites three of every four preloaded pages, so each
+	// preloaded superblock keeps live identity pages for GC to move. With
+	// tearAt == 0 it stops before the first request that erases a
+	// preloaded superblock and returns that request's boundary range.
+	run := func(tearAt int) (f *FTL, written map[int64]bool, first, last int) {
+		f, err := New(geo, cell, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Preload(f.CapacityBytes() / 2); err != nil {
+			t.Fatal(err)
+		}
+		pre := f.preloaded * f.spb
+		written = make(map[int64]bool)
+		count := 0
+		for i := int64(0); i < 4*f.Pages(); i++ {
+			lpn := i % pre
+			if lpn%4 == 3 {
+				continue
+			}
+			ops := f.Write(lpn*f.PageSize(), f.PageSize())
+			if tearAt == 0 {
+				n, erased := count, -1
+				for _, op := range ops {
+					if op.Op == nvm.OpProgram || op.Op == nvm.OpErase {
+						n++
+					}
+					if op.Op == nvm.OpErase && op.PPN < pre {
+						erased = n
+					}
+				}
+				if erased >= 0 {
+					return f, written, count + 1, erased + 1
+				}
+			}
+			var torn bool
+			if count, torn = applyOps(f.Media(), ops, count, tearAt); torn {
+				return f, written, 0, 0
+			}
+			written[lpn] = true
+		}
+		t.Fatal("no preloaded superblock was collected")
+		return nil, nil, 0, 0
+	}
+	_, _, first, last := run(0)
+	for tearAt := first; tearAt <= last; tearAt++ {
+		f, written, _, _ := run(tearAt)
+		rf, _, err := Recover(geo, cell, cfg, f.Media())
+		if err != nil {
+			t.Fatalf("tear %d: %v", tearAt, err)
+		}
+		checkInvariants(t, rf)
+		for lpn := int64(0); lpn < rf.preloaded*rf.spb; lpn++ {
+			if written[lpn] {
+				continue
+			}
+			ppn, ver, ok := rf.Mapping(lpn)
+			oob, programmed, _ := f.Media().PageState(ppn)
+			if !ok || ver != 0 || !programmed || oob != (OOB{LPN: lpn}) {
+				t.Fatalf("tear %d: preloaded lpn %d lost: maps to page %d v%d (mapped %v, programmed %v, tag %+v)",
+					tearAt, lpn, ppn, ver, ok, programmed, oob)
+			}
+		}
+	}
+}

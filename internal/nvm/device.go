@@ -6,7 +6,6 @@ import (
 	"oocnvm/internal/fault"
 	"oocnvm/internal/obs"
 	"oocnvm/internal/obs/attrib"
-	"oocnvm/internal/obs/hostperf"
 	"oocnvm/internal/obs/timeseries"
 	"oocnvm/internal/sim"
 )
@@ -131,6 +130,7 @@ type Device struct {
 	scDieActs [][]activation // per non-empty die activation sequences
 	scOut     []activation   // round-robin interleaved dispatch order
 	scErase   []activation   // durable-mode erase-barrier holdbacks
+	scErased  []int64        // eraseblocks erased so far by a durable-mode request
 	scPlane   [][]PageOp     // per-plane merge queues
 	scPlaneHd []int          // consumed heads of the per-plane queues
 	scGroups  []PageOp       // arena backing multi-plane activation groups
@@ -305,11 +305,6 @@ func (d *Device) Submit(at sim.Time, ops []PageOp) sim.Time {
 	if len(ops) == 0 {
 		return at
 	}
-	// The die buckets, plane-merge queues and activation groups built below
-	// are the dominant allocation source of a replay; the hostperf region
-	// charges them to the nvm-sched subsystem.
-	hostperf.Enter(hostperf.SiteNVMSched)
-	defer hostperf.Exit()
 	if !d.started || at < d.firstIssue {
 		if !d.started {
 			d.firstIssue = at
@@ -330,34 +325,24 @@ func (d *Device) Submit(at sim.Time, ops []PageOp) sim.Time {
 		}
 	}
 
-	acts, interleave := d.schedule(ops)
-
 	var (
-		end        sim.Time
-		multiplane bool
+		end                    sim.Time
+		multiplane, interleave bool
 	)
-	eraseActs := d.scErase[:0]
-	for _, a := range acts {
-		if len(a.ops) > 1 {
-			multiplane = true
+	// A durable-mode request runs in batches: each batch holds its erases
+	// behind its own programs (the erase barrier), and a program into an
+	// eraseblock an earlier op erased starts the next batch once the
+	// barrier has passed.
+	for rest, start := ops, issue; len(rest) > 0; start = sim.MaxTime(end, issue) {
+		batch := rest
+		if d.media != nil {
+			batch = rest[:d.reprogramCut(rest)]
 		}
-		// Durable mode holds erases back behind every program of the
-		// request: plane interleaving would otherwise let a victim erase
-		// execute before the relocation programs and journal pages that
-		// make destroying the victim safe, so a crash between the two
-		// could lose acknowledged data.
-		if d.media != nil && a.ops[0].Op == OpErase {
-			eraseActs = append(eraseActs, a)
-			continue
-		}
-		end = sim.MaxTime(end, d.runActivation(issue, 0, a, attributing))
-	}
-	d.scErase = eraseActs
-	if len(eraseActs) > 0 {
-		barrier := sim.MaxTime(end, issue)
-		for _, a := range eraseActs {
-			end = sim.MaxTime(end, d.runActivation(barrier, barrier-issue, a, attributing))
-		}
+		bEnd, bMulti, bInter := d.runBatch(issue, start, batch, attributing)
+		end = sim.MaxTime(end, bEnd)
+		multiplane = multiplane || bMulti
+		interleave = interleave || bInter
+		rest = rest[len(batch):]
 	}
 
 	pal := PAL1
@@ -380,6 +365,64 @@ func (d *Device) Submit(at sim.Time, ops []PageOp) sim.Time {
 
 	d.lastEnd = sim.MaxTime(d.lastEnd, end)
 	return end
+}
+
+// runBatch schedules ops and executes their activations from start; issue
+// is the request's issue instant, and any wait between the two is charged
+// like the erase barrier's.
+func (d *Device) runBatch(issue, start sim.Time, ops []PageOp, attributing bool) (end sim.Time, multiplane, interleave bool) {
+	acts, interleave := d.schedule(ops)
+	eraseActs := d.scErase[:0]
+	for _, a := range acts {
+		if len(a.ops) > 1 {
+			multiplane = true
+		}
+		// Durable mode holds erases back behind every program of the
+		// batch: plane interleaving would otherwise let a victim erase
+		// execute before the relocation programs and journal pages that
+		// make destroying the victim safe, so a crash between the two
+		// could lose acknowledged data.
+		if d.media != nil && a.ops[0].Op == OpErase {
+			eraseActs = append(eraseActs, a)
+			continue
+		}
+		end = sim.MaxTime(end, d.runActivation(start, start-issue, a, attributing))
+	}
+	d.scErase = eraseActs
+	if len(eraseActs) > 0 {
+		barrier := sim.MaxTime(end, start)
+		for _, a := range eraseActs {
+			end = sim.MaxTime(end, d.runActivation(barrier, barrier-issue, a, attributing))
+		}
+	}
+	return end, multiplane, interleave
+}
+
+// reprogramCut returns how many leading ops of a durable-mode request may
+// run as one erase-barrier batch: everything before the first data program
+// into an eraseblock an earlier op of the request erases. That happens
+// when GC reallocates a victim within the request that collected it, and
+// holding the victim's erase behind such a program would wipe the page.
+func (d *Device) reprogramCut(ops []PageOp) int {
+	erased := d.scErased[:0]
+	cut := len(ops)
+scan:
+	for i, op := range ops {
+		switch {
+		case op.Op == OpErase:
+			erased = append(erased, d.Geo.EraseBlock(op.PPN, d.Cell))
+		case op.Op == OpProgram && !op.Meta && len(erased) > 0:
+			b := d.Geo.EraseBlock(op.PPN, d.Cell)
+			for _, e := range erased {
+				if e == b {
+					cut = i
+					break scan
+				}
+			}
+		}
+	}
+	d.scErased = erased
+	return cut
 }
 
 // runActivation executes one activation at issueAt with its attribution

@@ -1,6 +1,8 @@
 package nvm
 
 import (
+	"slices"
+	"strconv"
 	"testing"
 
 	"oocnvm/internal/sim"
@@ -318,5 +320,40 @@ func TestOpString(t *testing.T) {
 	}
 	if Op(9).String() != "Op(9)" {
 		t.Fatal("unknown op should render its number")
+	}
+}
+
+// mediaLog records the order in which the device commits programs and
+// erases to the media.
+type mediaLog []string
+
+func (m *mediaLog) MediaProgram(op PageOp, torn bool) {
+	*m = append(*m, "program "+strconv.FormatInt(op.PPN, 10))
+}
+func (m *mediaLog) MediaErase(op PageOp, torn bool) {
+	*m = append(*m, "erase "+strconv.FormatInt(op.PPN, 10))
+}
+
+// TestEraseBarrierOrdersReprogram pins the durable-mode erase barrier
+// around a garbage-collection victim reallocated within the request that
+// collected it: the victim's erase lands after the program the request
+// issued before it, and before the program into the erased block that
+// follows it.
+func TestEraseBarrierOrdersReprogram(t *testing.T) {
+	d := newTestDevice(t, MLC, ONFi3SDR(), fastLink{})
+	var log mediaLog
+	d.SetMediaTap(&log)
+	row := int64(d.Geo.Channels * d.Cell.Planes * d.Geo.DiesPerChannel())
+	spb := row * int64(d.Cell.PagesPerBlock)
+	op := func(kind Op, ppn int64) PageOp {
+		return PageOp{Op: kind, Loc: d.Geo.MapLogical(ppn, d.Cell.Planes), PPN: ppn}
+	}
+	// Relocate into the next superblock, erase the victim's first
+	// eraseblock, then program a page of that same eraseblock (row 1,
+	// slot 0).
+	d.Submit(0, []PageOp{op(OpProgram, spb), op(OpErase, 0), op(OpProgram, row)})
+	want := []string{"program " + strconv.FormatInt(spb, 10), "erase 0", "program " + strconv.FormatInt(row, 10)}
+	if !slices.Equal(log, want) {
+		t.Fatalf("media commits %v, want %v", log, want)
 	}
 }

@@ -45,6 +45,15 @@ func (g Geometry) Pages(cell CellParams) int64 {
 	return int64(g.Dies()*cell.Planes*g.BlocksPerPlane) * int64(cell.PagesPerBlock)
 }
 
+// EraseBlock names the eraseblock holding physical page ppn under the
+// row-first layout the FTL, the direct translator, the fault injector and
+// the device share: a row stripes one page over every die-plane, and
+// cell.PagesPerBlock consecutive rows form one eraseblock per die-plane.
+func (g Geometry) EraseBlock(ppn int64, cell CellParams) int64 {
+	row := int64(g.Dies() * max(cell.Planes, 1))
+	return ppn/(row*int64(cell.PagesPerBlock))*row + ppn%row
+}
+
 // Location identifies one physical page's resources: the channel bus it
 // transfers over, the die it occupies (indexed within the channel) and the
 // plane inside that die. Package is derived, not stored.

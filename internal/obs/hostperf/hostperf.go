@@ -2,26 +2,21 @@
 // measures *simulated* time (device latencies, channel occupancy), hostperf
 // measures the *host* resources a run burns to produce those numbers: wall
 // time, CPU time, heap allocations, GC work — broken down per run phase
-// (trace build, each matrix cell, export) and attributed to the subsystems
-// that own the hot allocation sites (nvm transaction scheduling, ssd request
-// translation, observability records, window growth).
+// (trace build, each matrix cell, export).
 //
-// The package has two coupled mechanisms:
+// A Collector snapshots runtime.MemStats (plus getrusage CPU time where
+// available) at phase boundaries, so a run emits a per-phase host-cost table
+// next to its simulated-time results. Nothing on the simulation's hot path
+// calls into this package; a run without a collector pays nothing.
 //
-//   - A phase Collector: snapshots runtime.MemStats (plus getrusage CPU time
-//     where available) at phase boundaries, so a run emits a per-phase
-//     host-cost table next to its simulated-time results.
+// The package does not attribute allocations to call sites. The runtime's
+// heap profile already does that per function: every CLI writes it with
+// -memprofile, read with
 //
-//   - Allocation-site attribution (sites.go): bracketed regions at the known
-//     hot allocation sites measure the heap-object delta inside each region
-//     and charge it to that subsystem. The deltas are exact — the sum over
-//     subsystems plus the unattributed remainder equals the run's total
-//     allocation count — which is what lets guard tests pin today's numbers.
+//	go tool pprof -sample_index=alloc_objects -top mem.pprof
 //
-// Everything is off by default and costs one atomic load per probe when
-// disabled. Enabling attribution is a *measurement mode*: it serializes the
-// experiment matrix (the region stack is process-global) and adds a
-// runtime/metrics read per region boundary.
+// The profile is sampled; the exact steady-state counts are pinned by
+// testing.AllocsPerRun tests in the packages that own the hot paths.
 package hostperf
 
 import (
@@ -29,8 +24,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"runtime/metrics"
-	"sort"
 	"strings"
 	"sync"
 	"text/tabwriter"
@@ -52,24 +45,14 @@ type Snap struct {
 // TakeSnap reads the current host-resource state. It calls
 // runtime.ReadMemStats (a brief stop-the-world), so it belongs at phase
 // boundaries, not on per-request paths.
-//
-// AllocObjs deliberately comes from the same runtime/metrics counter the
-// attribution regions read (not MemStats.Mallocs — the two counters flush
-// malloc caches differently and disagree by an unflushed span tail), so the
-// per-site sums and the phase totals are deltas of one monotonic counter
-// and the unattributed remainder is non-negative by construction.
 func TakeSnap() Snap {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	// A local sample keeps TakeSnap goroutine-safe; the package-global
-	// sample is reserved for the serial Enter/Exit hot path.
-	sample := []metrics.Sample{{Name: allocObjsMetric}}
-	metrics.Read(sample)
 	return Snap{
 		Wall:       time.Now(),
 		CPU:        cpuTime(),
 		HeapBytes:  ms.HeapAlloc,
-		AllocObjs:  sample[0].Value.Uint64(),
+		AllocObjs:  ms.Mallocs,
 		AllocBytes: ms.TotalAlloc,
 		GCCycles:   ms.NumGC,
 		GCPause:    time.Duration(ms.PauseTotalNs),
@@ -105,33 +88,27 @@ func delta(name string, begin, end Snap) PhaseCost {
 	}
 }
 
-// Collector accumulates the per-phase host costs of one run. Creating a
-// collector enables allocation-site attribution process-wide; Summary
-// snapshots the run's totals and the per-subsystem breakdown. Phases may be
-// recorded from any goroutine (the collector locks), but attribution regions
-// are serial — drivers that attach a collector must run their matrix cells
-// one at a time (experiment.Matrix does this automatically).
+// Collector accumulates the per-phase host costs of one run; Summary
+// snapshots the run's totals. Phases may be recorded from any goroutine (the
+// collector locks), but the snapshots read process-wide counters, so phases
+// that overlap in time share each other's costs — drivers that want one
+// clean row per matrix cell run the cells one at a time (experiment.Matrix
+// does this whenever it is given a collector).
 type Collector struct {
-	mu        sync.Mutex
-	start     Snap
-	baseSites [NumSites]int64
-	phases    []PhaseCost
+	mu     sync.Mutex
+	start  Snap
+	phases []PhaseCost
 }
 
-// NewCollector snapshots the baseline and turns allocation-site attribution
-// on. Call Summary when the run is done; the attribution mode stays enabled
-// for the life of the process (it is a run-the-CLI-in-measurement-mode
-// switch, not a toggle to flip around hot loops).
+// NewCollector snapshots the baseline. Call Summary when the run is done.
 func NewCollector() *Collector {
-	c := &Collector{}
-	c.baseSites = siteSnapshot()
-	// The start snapshot is taken BEFORE attribution seeds its counter
-	// mark, so everything the regions charge happened after the snapshot
-	// and attributed <= total always holds.
-	c.start = TakeSnap()
-	EnableAttrib()
-	return c
+	return &Collector{start: TakeSnap()}
 }
+
+// DisableAttrib does nothing. Allocation-site attribution moved to the
+// runtime heap profile (-memprofile); the function stays so callers written
+// against the old region-stack API keep compiling.
+func DisableAttrib() {}
 
 // Phase begins a named phase and returns the function that ends it:
 //
@@ -153,23 +130,11 @@ func (c *Collector) Phase(name string) (end func()) {
 	}
 }
 
-// SiteCost is the allocation count attributed to one subsystem.
-type SiteCost struct {
-	Site  Site   `json:"-"`
-	Name  string `json:"name"`
-	Objs  int64  `json:"alloc_objects"`
-	Share float64
-}
-
-// Summary is the run's host-performance report: the whole-run totals, the
-// per-phase table, and the allocs-by-subsystem attribution.
+// Summary is the run's host-performance report: the whole-run totals and
+// the per-phase table.
 type Summary struct {
 	Total  PhaseCost   `json:"total"`
 	Phases []PhaseCost `json:"phases,omitempty"`
-	// Sites lists the instrumented subsystems in descending allocation
-	// order, followed by one "unattributed" entry holding everything the
-	// regions did not cover. Shares are of Total.AllocObjs.
-	Sites []SiteCost `json:"sites"`
 }
 
 // Summary computes the report for everything since NewCollector.
@@ -178,51 +143,15 @@ func (c *Collector) Summary() *Summary {
 		return nil
 	}
 	end := TakeSnap()
-	now := siteSnapshot()
 	c.mu.Lock()
 	phases := make([]PhaseCost, len(c.phases))
 	copy(phases, c.phases)
-	start, base := c.start, c.baseSites
+	start := c.start
 	c.mu.Unlock()
-
-	s := &Summary{Total: delta("total", start, end), Phases: phases}
-	var attributed int64
-	for site := Site(0); site < NumSites; site++ {
-		objs := now[site] - base[site]
-		attributed += objs
-		s.Sites = append(s.Sites, SiteCost{Site: site, Name: site.String(), Objs: objs})
-	}
-	sort.SliceStable(s.Sites, func(i, j int) bool { return s.Sites[i].Objs > s.Sites[j].Objs })
-	rest := int64(s.Total.AllocObjs) - attributed
-	if rest < 0 {
-		rest = 0
-	}
-	s.Sites = append(s.Sites, SiteCost{Site: NumSites, Name: "unattributed", Objs: rest})
-	if s.Total.AllocObjs > 0 {
-		for i := range s.Sites {
-			s.Sites[i].Share = float64(s.Sites[i].Objs) / float64(s.Total.AllocObjs)
-		}
-	}
-	return s
+	return &Summary{Total: delta("total", start, end), Phases: phases}
 }
 
-// AttributedFraction is the share of the run's allocations the instrumented
-// sites explain — the number the ≥95%-coverage guard tests pin.
-func (s *Summary) AttributedFraction() float64 {
-	if s.Total.AllocObjs == 0 {
-		return 1
-	}
-	var attributed int64
-	for _, sc := range s.Sites {
-		if sc.Name != "unattributed" {
-			attributed += sc.Objs
-		}
-	}
-	return float64(attributed) / float64(s.Total.AllocObjs)
-}
-
-// FormatTable renders the per-phase host-cost table and the
-// allocs-by-subsystem breakdown as aligned text.
+// FormatTable renders the per-phase host-cost table as aligned text.
 func (s *Summary) FormatTable() string {
 	var b strings.Builder
 	b.WriteString("host performance (wall-clock resources of this process)\n")
@@ -232,14 +161,6 @@ func (s *Summary) FormatTable() string {
 		writePhaseRow(w, p)
 	}
 	writePhaseRow(w, s.Total)
-	w.Flush()
-
-	b.WriteString("\nallocations by subsystem\n")
-	w = tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "subsystem\talloc-objects\tshare\n")
-	for _, sc := range s.Sites {
-		fmt.Fprintf(w, "%s\t%d\t%.1f%%\n", sc.Name, sc.Objs, 100*sc.Share)
-	}
 	w.Flush()
 	return b.String()
 }
@@ -271,14 +192,14 @@ func (s *Summary) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// WriteCSV emits the phase table (one row per phase plus the total) followed
-// by the subsystem breakdown, in one CSV stream with a `section` column.
+// WriteCSV emits the phase table (one row per phase plus the total) in one
+// CSV stream with a `section` column.
 func (s *Summary) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "section,name,wall_ns,cpu_ns,alloc_objects,alloc_bytes,gc_cycles,gc_pause_ns,heap_bytes,share"); err != nil {
+	if _, err := fmt.Fprintln(w, "section,name,wall_ns,cpu_ns,alloc_objects,alloc_bytes,gc_cycles,gc_pause_ns,heap_bytes"); err != nil {
 		return err
 	}
 	row := func(section string, p PhaseCost) error {
-		_, err := fmt.Fprintf(w, "%s,%s,%d,%d,%d,%d,%d,%d,%d,\n",
+		_, err := fmt.Fprintf(w, "%s,%s,%d,%d,%d,%d,%d,%d,%d\n",
 			section, csvEscape(p.Name), p.Wall.Nanoseconds(), p.CPU.Nanoseconds(),
 			p.AllocObjs, p.AllocBytes, p.GCCycles, p.GCPause.Nanoseconds(), p.HeapBytes)
 		return err
@@ -288,15 +209,7 @@ func (s *Summary) WriteCSV(w io.Writer) error {
 			return err
 		}
 	}
-	if err := row("total", s.Total); err != nil {
-		return err
-	}
-	for _, sc := range s.Sites {
-		if _, err := fmt.Fprintf(w, "site,%s,,,%d,,,,,%.6f\n", csvEscape(sc.Name), sc.Objs, sc.Share); err != nil {
-			return err
-		}
-	}
-	return nil
+	return row("total", s.Total)
 }
 
 func csvEscape(s string) string {

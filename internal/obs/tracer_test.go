@@ -134,6 +134,26 @@ func TestTracerLimitCountsDrops(t *testing.T) {
 	}
 }
 
+// TestTracerSpanSteadyStateAllocs pins the tracer's recycling contract:
+// after Reset the span buffer keeps its capacity, so a run that records no
+// more spans than the previous one allocates nothing — on the append path
+// and on the drop path past the limit alike.
+func TestTracerSpanSteadyStateAllocs(t *testing.T) {
+	const limit = 256
+	tr := NewTracer()
+	tr.SetLimit(limit)
+	run := func() {
+		for i := 0; i < limit+64; i++ {
+			tr.Span(LayerSSD, "q", "R", sim.Time(i), sim.Time(i+1))
+		}
+		tr.Reset()
+	}
+	run() // grow the buffer to the limit once
+	if got := testing.AllocsPerRun(100, run); got != 0 {
+		t.Errorf("%d spans after Reset allocate %v objects per run, want 0", limit+64, got)
+	}
+}
+
 func TestTracerNegativeDurationClamped(t *testing.T) {
 	tr := NewTracer()
 	tr.Span(LayerSSD, "q", "R", 10, 5)

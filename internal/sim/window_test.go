@@ -192,3 +192,27 @@ func TestWindowInFlightAt(t *testing.T) {
 		t.Errorf("InFlightAt(7) = %d with lazily-retained ops, want 0", got)
 	}
 }
+
+// TestWindowSteadyStateAllocs pins the window's zero-alloc contract: at
+// queue depth every Admit pops one operation and every Complete pushes one
+// into the heap preallocated by NewWindow, so the replay hot path never
+// grows it.
+func TestWindowSteadyStateAllocs(t *testing.T) {
+	const depth = 32
+	w := NewWindow(depth, 0)
+	var now Time
+	cycle := func() {
+		issue := w.Admit(now, 4096)
+		now = issue + 10
+		w.Complete(now, 4096)
+	}
+	for i := 0; i < depth; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(1000, cycle); got != 0 {
+		t.Errorf("push/pop at queue depth allocates %v objects per op, want 0", got)
+	}
+	if w.InFlight() != depth {
+		t.Fatalf("in flight %d, want the full depth %d", w.InFlight(), depth)
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"oocnvm/internal/nvm"
 	"oocnvm/internal/obs"
 	"oocnvm/internal/obs/attrib"
-	"oocnvm/internal/obs/hostperf"
 	"oocnvm/internal/obs/timeseries"
 	"oocnvm/internal/pool"
 	"oocnvm/internal/sim"
@@ -139,14 +138,6 @@ func (d *Direct) rowSize() int64 {
 
 func (d *Direct) totalBlocks() int64 { return d.rowSize() * int64(d.Geo.BlocksPerPlane) }
 
-// blockOf maps a physical page number to its eraseblock id (matching the
-// fault injector's layout: rows stripe over die-planes, ppb rows per block).
-func (d *Direct) blockOf(ppn int64) int64 {
-	row := d.rowSize()
-	ppb := int64(d.Cell.PagesPerBlock)
-	return (ppn/(row*ppb))*row + ppn%row
-}
-
 // pageIn returns the k-th page of an eraseblock.
 func (d *Direct) pageIn(block, k int64) int64 {
 	row := d.rowSize()
@@ -159,7 +150,7 @@ func (d *Direct) redirect(ppn int64) int64 {
 	if len(d.remap) == 0 {
 		return ppn
 	}
-	b := d.blockOf(ppn)
+	b := d.Geo.EraseBlock(ppn, d.Cell)
 	nb, ok := d.remap[b]
 	if !ok {
 		return ppn
@@ -234,7 +225,7 @@ func (d *Direct) RetireBlock(ppn int64) nvm.Retirement {
 		// Zero-value Direct (no NewDirect): no remap capability.
 		return nvm.Retirement{}
 	}
-	b := d.blockOf(ppn % d.pages())
+	b := d.Geo.EraseBlock(ppn%d.pages(), d.Cell)
 	if d.bad[b] {
 		return nvm.Retirement{OK: true}
 	}
@@ -558,9 +549,7 @@ func (s *SSD) Submit(op trace.BlockOp) (sim.Time, error) {
 		return s.clock, err
 	}
 	// Translation (FTL mapping, GC relocation planning, Direct striping)
-	// builds the request's page-op slice; the hostperf region charges it to
-	// the ssd-request subsystem.
-	hostperf.Enter(hostperf.SiteSSDRequest)
+	// builds the request's page-op slice.
 	var pageOps []nvm.PageOp
 	switch op.Kind {
 	case trace.Read:
@@ -570,7 +559,6 @@ func (s *SSD) Submit(op trace.BlockOp) (sim.Time, error) {
 	case trace.Erase:
 		pageOps = s.trans.Erase(op.Offset, op.Size)
 	}
-	hostperf.Exit()
 	issue := s.win.Admit(s.clock, op.Size)
 	// Queue covers both the sync barrier drain and window admission: arrive
 	// was stamped before the drain, so issue-arrive is the whole wait.
@@ -693,9 +681,7 @@ func (s *SSD) recover(at sim.Time) sim.Time {
 				s.faults.Degrade()
 				return at
 			}
-			hostperf.Enter(hostperf.SiteSSDRequest)
 			r := br.RetireBlock(f.PPN)
-			hostperf.Exit()
 			if !r.OK {
 				s.faults.Degrade()
 				return at

@@ -528,8 +528,8 @@ func TestDirectRetireRemapsBlock(t *testing.T) {
 	if moved == identity {
 		t.Fatal("retired block still addressed")
 	}
-	if d.blockOf(moved) != d.totalBlocks()-1 {
-		t.Fatalf("remap landed on block %d, want top spare %d", d.blockOf(moved), d.totalBlocks()-1)
+	if d.Geo.EraseBlock(moved, d.Cell) != d.totalBlocks()-1 {
+		t.Fatalf("remap landed on block %d, want top spare %d", d.Geo.EraseBlock(moved, d.Cell), d.totalBlocks()-1)
 	}
 	// Retiring the same logical block again: already bad, no-op.
 	if r2 := d.RetireBlock(identity); !r2.OK || r2.Retired {
@@ -542,14 +542,14 @@ func TestDirectRetireRemapsBlock(t *testing.T) {
 		t.Fatalf("spare retire failed: %+v", r3)
 	}
 	again := d.Read(0, cell.PageSize)[0].PPN
-	if d.blockOf(again) != d.totalBlocks()-2 {
-		t.Fatalf("chained remap landed on block %d, want %d", d.blockOf(again), d.totalBlocks()-2)
+	if d.Geo.EraseBlock(again, d.Cell) != d.totalBlocks()-2 {
+		t.Fatalf("chained remap landed on block %d, want %d", d.Geo.EraseBlock(again, d.Cell), d.totalBlocks()-2)
 	}
 	// Writes and erases follow the same indirection.
 	if w := d.Write(0, cell.PageSize)[0].PPN; w != again {
 		t.Fatalf("write PPN %d diverges from read PPN %d", w, again)
 	}
-	if e := d.Erase(0, cell.BlockSize())[0].PPN; d.blockOf(e) != d.blockOf(again) {
+	if e := d.Erase(0, cell.BlockSize())[0].PPN; d.Geo.EraseBlock(e, d.Cell) != d.Geo.EraseBlock(again, d.Cell) {
 		t.Fatal("erase not redirected")
 	}
 }
