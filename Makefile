@@ -33,9 +33,11 @@ fuzz:
 # One pass over every figure/table benchmark, archived as JSON for diffing
 # between commits and appended to the continuous-bench history the HTML
 # report's trajectory sparklines read. -benchtime=1x because each whole-figure
-# benchmark already runs the full evaluation matrix once.
+# benchmark already runs the full evaluation matrix once. Every bench target
+# runs at -cpu 1: benchmark names carry a -N suffix at GOMAXPROCS N > 1, and
+# benchdiff matches names exactly, so the baseline and the gate must agree.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x . \
+	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x -cpu 1 . \
 		| $(GO) run ./cmd/benchjson -history BENCH_history.jsonl > BENCH_results.json
 	@echo "wrote BENCH_results.json (history in BENCH_history.jsonl)"
 
@@ -43,18 +45,18 @@ bench:
 # perf or allocation regression without replaying every evaluation matrix.
 BENCH_SMOKE = Fig7aBandwidth|Fig10Breakdown|SimulatorPageThroughput|TelemetrySampling
 bench-smoke:
-	$(GO) test -run='^$$' -benchmem -benchtime=1x \
+	$(GO) test -run='^$$' -benchmem -benchtime=1x -cpu 1 \
 		-bench='$(BENCH_SMOKE)' . \
 		| $(GO) run ./cmd/benchjson > bench_smoke.json
 	@echo "wrote bench_smoke.json"
 
 # Continuous-bench gate: re-run the smoke benchmarks -count=3 (benchjson keeps
-# the min, so scheduler noise only helps), then fail if allocation counts grew
-# beyond 5% over the checked-in baseline. The time gate is disabled (-1):
-# wall-clock numbers are not comparable across machines, allocation counts
-# are deterministic.
+# the min, so scheduler noise only helps), then fail if allocation counts or
+# allocated bytes grew beyond 5% over the checked-in baseline. The time gate
+# is disabled (-1): wall-clock numbers are not comparable across machines,
+# allocations are deterministic.
 bench-gate:
-	$(GO) test -run='^$$' -benchmem -benchtime=1x -count=3 \
+	$(GO) test -run='^$$' -benchmem -benchtime=1x -count=3 -cpu 1 \
 		-bench='$(BENCH_SMOKE)' . \
 		| $(GO) run ./cmd/benchjson -history BENCH_history.jsonl > bench_smoke.json
 	$(GO) run ./cmd/benchdiff -time-threshold=-1 -alloc-threshold=0.05 \

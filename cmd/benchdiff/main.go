@@ -6,11 +6,13 @@
 //
 // Each file is either a benchjson JSON array (BENCH_results.json) or a
 // benchjson -history JSONL file, in which case the last recorded run is
-// used. Benchmarks present in both files are compared on ns/op and
-// allocs/op: a value more than the corresponding threshold fraction above
-// the old one is a regression. A negative threshold disables that dimension
-// (CI disables the wall-time gate this way — machines differ, but
-// allocation counts are deterministic). -guard restricts which benchmarks
+// used. Benchmarks present in both files are compared on ns/op, allocs/op
+// and B/op: a value more than the corresponding threshold fraction above
+// the old one is a regression, and -alloc-threshold gates both allocation
+// dimensions (a few large objects growing is as much a regression as many
+// small ones). A negative threshold disables that dimension (CI disables
+// the wall-time gate this way — machines differ, but allocation counts and
+// bytes are deterministic). -guard restricts which benchmarks
 // can fail the gate; everything is still reported. Benchmarks appearing in
 // only one file are listed but never gate.
 package main
@@ -116,17 +118,18 @@ func run(o options, oldPath, newPath string, w io.Writer) error {
 	seen := make(map[string]bool, len(newRes))
 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "benchmark\tns/op old\tns/op new\tΔtime\tallocs old\tallocs new\tΔallocs\tverdict\n")
+	fmt.Fprintf(tw, "benchmark\tns/op old\tns/op new\tΔtime\tallocs old\tallocs new\tΔallocs\tB/op old\tB/op new\tΔbytes\tverdict\n")
 	regressions := 0
 	for _, nr := range newRes {
 		seen[nr.Name] = true
 		or, ok := oldBy[nr.Name]
 		if !ok {
-			fmt.Fprintf(tw, "%s\t-\t%.0f\t-\t-\t%.0f\t-\tnew\n", nr.Name, nr.NsPerOp, nr.AllocsPerOp)
+			fmt.Fprintf(tw, "%s\t-\t%.0f\t-\t-\t%.0f\t-\t-\t%.0f\t-\tnew\n", nr.Name, nr.NsPerOp, nr.AllocsPerOp, nr.BytesPerOp)
 			continue
 		}
 		timeBad := regressed(or.NsPerOp, nr.NsPerOp, o.timeThreshold)
-		allocBad := regressed(or.AllocsPerOp, nr.AllocsPerOp, o.allocThreshold)
+		allocBad := regressed(or.AllocsPerOp, nr.AllocsPerOp, o.allocThreshold) ||
+			regressed(or.BytesPerOp, nr.BytesPerOp, o.allocThreshold)
 		gated := guard == nil || guard.MatchString(nr.Name)
 		verdict := "ok"
 		if timeBad || allocBad {
@@ -137,40 +140,50 @@ func run(o options, oldPath, newPath string, w io.Writer) error {
 				verdict = "regressed (unguarded)"
 			}
 		}
-		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%+.1f%%\t%.0f\t%.0f\t%+.1f%%\t%s\n",
+		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%+.1f%%\t%.0f\t%.0f\t%+.1f%%\t%.0f\t%.0f\t%+.1f%%\t%s\n",
 			nr.Name, or.NsPerOp, nr.NsPerOp, 100*delta(or.NsPerOp, nr.NsPerOp),
 			or.AllocsPerOp, nr.AllocsPerOp, 100*delta(or.AllocsPerOp, nr.AllocsPerOp),
+			or.BytesPerOp, nr.BytesPerOp, 100*delta(or.BytesPerOp, nr.BytesPerOp),
 			verdict)
 	}
 	for _, or := range oldRes {
 		if !seen[or.Name] {
-			fmt.Fprintf(tw, "%s\t%.0f\t-\t-\t%.0f\t-\t-\tdropped\n", or.Name, or.NsPerOp, or.AllocsPerOp)
+			fmt.Fprintf(tw, "%s\t%.0f\t-\t-\t%.0f\t-\t-\t%.0f\t-\t-\tdropped\n", or.Name, or.NsPerOp, or.AllocsPerOp, or.BytesPerOp)
 		}
 	}
 	tw.Flush()
 	if regressions > 0 {
-		return fmt.Errorf("benchdiff: %d regression(s) beyond thresholds (time %+.0f%%, allocs %+.0f%%)",
+		return fmt.Errorf("benchdiff: %d regression(s) beyond thresholds (time %+.0f%%, allocs and bytes %+.0f%%)",
 			regressions, 100*o.timeThreshold, 100*o.allocThreshold)
 	}
 	fmt.Fprintln(w, "benchdiff: no regressions")
 	return nil
 }
 
-func main() {
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli runs benchdiff on its command-line arguments and returns the exit
+// code: 0 clean, 1 regressed (or unreadable input), 2 bad usage.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var o options
-	flag.Float64Var(&o.timeThreshold, "time-threshold", 0.20,
+	fl.Float64Var(&o.timeThreshold, "time-threshold", 0.20,
 		"fractional ns/op increase tolerated before failing (negative disables the time gate)")
-	flag.Float64Var(&o.allocThreshold, "alloc-threshold", 0.05,
-		"fractional allocs/op increase tolerated before failing (negative disables the alloc gate)")
-	flag.StringVar(&o.guard, "guard", "",
+	fl.Float64Var(&o.allocThreshold, "alloc-threshold", 0.05,
+		"fractional allocs/op and B/op increase tolerated before failing (negative disables the alloc gate)")
+	fl.StringVar(&o.guard, "guard", "",
 		"regexp of benchmark names allowed to fail the gate (empty = all)")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [flags] OLD NEW")
-		os.Exit(2)
+	if err := fl.Parse(args); err != nil {
+		return 2
 	}
-	if err := run(o, flag.Arg(0), flag.Arg(1), os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if fl.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: benchdiff [flags] OLD NEW")
+		return 2
 	}
+	if err := run(o, fl.Arg(0), fl.Arg(1), stdout); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
 }

@@ -24,8 +24,8 @@ func writeResults(t *testing.T, name string, rs []result) string {
 
 func baseline() []result {
 	return []result{
-		{Name: "BenchmarkA", Iterations: 100, NsPerOp: 1000, AllocsPerOp: 50},
-		{Name: "BenchmarkB", Iterations: 100, NsPerOp: 2000, AllocsPerOp: 10},
+		{Name: "BenchmarkA", Iterations: 100, NsPerOp: 1000, BytesPerOp: 4096, AllocsPerOp: 50},
+		{Name: "BenchmarkB", Iterations: 100, NsPerOp: 2000, BytesPerOp: 1 << 20, AllocsPerOp: 10},
 	}
 }
 
@@ -78,6 +78,27 @@ func TestBenchdiffAllocGateIndependentOfTime(t *testing.T) {
 	out.Reset()
 	if err := run(options{timeThreshold: -1, allocThreshold: -1}, oldPath, newPath, &out); err != nil {
 		t.Fatalf("all gates disabled still failed: %v", err)
+	}
+}
+
+func TestBenchdiffAllocGateCoversBytes(t *testing.T) {
+	// A structure that grows in place (few objects, many bytes) must fail
+	// the allocation gate even though allocs/op is unchanged.
+	bloated := baseline()
+	bloated[1].BytesPerOp *= 1.20
+	oldPath := writeResults(t, "old.json", baseline())
+	newPath := writeResults(t, "new.json", bloated)
+	var out, errOut bytes.Buffer
+	// The flags make bench-gate passes.
+	code := cli([]string{"-time-threshold=-1", "-alloc-threshold=0.05", oldPath, newPath}, &out, &errOut)
+	if code == 0 {
+		t.Fatalf("+20%% B/op passed the gate:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "REGRESSION") || !strings.Contains(out.String(), "+20.0%") {
+		t.Errorf("report does not flag the bytes regression:\n%s", out.String())
+	}
+	if code := cli([]string{"-time-threshold=-1", "-alloc-threshold=0.05", oldPath, oldPath}, &out, &errOut); code != 0 {
+		t.Fatalf("identical files exit %d: %s", code, errOut.String())
 	}
 }
 

@@ -83,7 +83,10 @@ type Device struct {
 
 	// Busy-union trackers for the paper's "kept busy" utilization probes:
 	// a channel counts as busy while its bus or any die behind it works; a
-	// package counts as busy while any of its dies works.
+	// package counts as busy while any of its dies works. After every
+	// activation foldCover folds the activation's two sets at their
+	// timeline watermark, so they hold only spans a later booking could
+	// still overlap.
 	chCover  []sim.IntervalSet   // per channel
 	pkgCover [][]sim.IntervalSet // [channel][packageInChannel]
 
@@ -93,6 +96,11 @@ type Device struct {
 	// breakdown is of device state time, not of per-waiter latency).
 	chContMark  []sim.Time
 	dieContMark [][]sim.Time
+
+	// Per-operation bus and register times, fixed by the cell and bus.
+	tCmd  sim.Time // one command/address sequence on the channel
+	tReg  sim.Time // one page's register staging (see NewDevice)
+	tXfer sim.Time // one page's data transfer on the channel bus
 
 	breakdown  Breakdown
 	pal        PALHistogram
@@ -120,20 +128,19 @@ type Device struct {
 	media MediaTap
 
 	// Scheduling scratch, reused across Submits. The die buckets, plane
-	// merge queues, activation lists and the multi-plane group arena below
-	// used to be rebuilt for every request and were the dominant allocation
-	// source of a replay; as persistent per-device storage they grow to the
-	// workload's high-water mark once and steady-state scheduling allocates
-	// nothing. Activation op slices alias this storage, so they are valid
-	// only until the next Submit — exactly the request lifetime.
-	scBuckets [][]PageOp     // per (channel, die) op buckets, layout order
+	// merge queues and activation groups below hold int32 indices into the
+	// batch's ops rather than op copies; as persistent per-device storage
+	// they grow to the workload's high-water mark once and steady-state
+	// scheduling allocates nothing. Activations are ranges of scGroups, so
+	// they are valid only until the next batch is scheduled.
+	scBuckets [][]int32      // per (channel, die) op buckets, layout order
 	scDieActs [][]activation // per non-empty die activation sequences
 	scOut     []activation   // round-robin interleaved dispatch order
 	scErase   []activation   // durable-mode erase-barrier holdbacks
 	scErased  []int64        // eraseblocks erased so far by a durable-mode request
-	scPlane   [][]PageOp     // per-plane merge queues
+	scPlane   [][]int32      // per-plane merge queues
 	scPlaneHd []int          // consumed heads of the per-plane queues
-	scGroups  []PageOp       // arena backing multi-plane activation groups
+	scGroups  []int32        // activation groups, back to back
 
 	// att, when non-nil, receives per-request critical-path attribution:
 	// the chain of timestamp differences from dispatch to completion of
@@ -207,6 +214,12 @@ func NewDevice(geo Geometry, cell CellParams, bus BusParams, link Link, seed uin
 		chContMark:  make([]sim.Time, geo.Channels),
 		dieContMark: make([][]sim.Time, geo.Channels),
 		eraseCount:  make(map[Location]int64),
+		tCmd:        bus.CommandTime(),
+		// Register staging between a die's page register and the channel
+		// ("flash bus activation"): the internal flash bus runs at twice
+		// the external channel rate.
+		tReg:  sim.DurationForBytes(cell.PageSize, 2*bus.BytesPerSec()),
+		tXfer: bus.TransferTime(cell.PageSize),
 	}
 	for c := range d.dies {
 		d.dies[c] = make([]sim.Timeline, geo.DiesPerChannel())
@@ -283,19 +296,10 @@ func (d *Device) RegisterSeries(ts *timeseries.Sampler) {
 	}
 }
 
-// regTime is the register/SRAM staging cost between a die's page register and
-// the channel ("flash bus activation"): the internal flash bus runs at twice
-// the external channel rate.
-func (d *Device) regTime() sim.Time {
-	return sim.DurationForBytes(d.Cell.PageSize, 2*d.Bus.BytesPerSec())
-}
-
 // activation groups page ops that share one cell activation: up to one op per
-// plane of a single die, merged by multi-plane command.
-type activation struct {
-	loc Location // channel+die; plane of the first op
-	ops []PageOp
-}
+// plane of a single die, merged by multi-plane command. It is the range
+// scGroups[lo:hi] of indices into the batch's ops.
+type activation struct{ lo, hi int32 }
 
 // Submit executes all page operations of one host request, issued at 'at',
 // and returns the completion time of the request. Operations are scheduled
@@ -305,10 +309,8 @@ func (d *Device) Submit(at sim.Time, ops []PageOp) sim.Time {
 	if len(ops) == 0 {
 		return at
 	}
-	if !d.started || at < d.firstIssue {
-		if !d.started {
-			d.firstIssue = at
-		}
+	if !d.started {
+		d.firstIssue = at
 		d.started = true
 	}
 
@@ -374,7 +376,7 @@ func (d *Device) runBatch(issue, start sim.Time, ops []PageOp, attributing bool)
 	acts, interleave := d.schedule(ops)
 	eraseActs := d.scErase[:0]
 	for _, a := range acts {
-		if len(a.ops) > 1 {
+		if a.hi-a.lo > 1 {
 			multiplane = true
 		}
 		// Durable mode holds erases back behind every program of the
@@ -382,17 +384,17 @@ func (d *Device) runBatch(issue, start sim.Time, ops []PageOp, attributing bool)
 		// execute before the relocation programs and journal pages that
 		// make destroying the victim safe, so a crash between the two
 		// could lose acknowledged data.
-		if d.media != nil && a.ops[0].Op == OpErase {
+		if d.media != nil && ops[d.scGroups[a.lo]].Op == OpErase {
 			eraseActs = append(eraseActs, a)
 			continue
 		}
-		end = sim.MaxTime(end, d.runActivation(start, start-issue, a, attributing))
+		end = sim.MaxTime(end, d.runActivation(start, start-issue, ops, a, attributing))
 	}
 	d.scErase = eraseActs
 	if len(eraseActs) > 0 {
 		barrier := sim.MaxTime(end, start)
 		for _, a := range eraseActs {
-			end = sim.MaxTime(end, d.runActivation(barrier, barrier-issue, a, attributing))
+			end = sim.MaxTime(end, d.runActivation(barrier, barrier-issue, ops, a, attributing))
 		}
 	}
 	return end, multiplane, interleave
@@ -425,24 +427,26 @@ scan:
 	return cut
 }
 
-// runActivation executes one activation at issueAt with its attribution
-// chain. pre is the already-elapsed time from the request's issue instant
-// (the durable-mode erase barrier); it is charged to the Meta component so
-// the chain still telescopes from issue to completion. After a power cut
-// the remaining activations are void: the device returns issueAt without
-// touching any timeline, so a crashed request's completion never regresses
-// below work that actually executed.
-func (d *Device) runActivation(issueAt, pre sim.Time, a activation, attributing bool) sim.Time {
+// runActivation executes one activation of the batch ops at issueAt with
+// its attribution chain, then folds the cover sets it marked. pre is the
+// already-elapsed time from the request's issue instant (the durable-mode
+// erase barrier); it is charged to the Meta component so the chain still
+// telescopes from issue to completion. After a power cut the remaining
+// activations are void: the device returns issueAt without touching any
+// timeline, so a crashed request's completion never regresses below work
+// that actually executed.
+func (d *Device) runActivation(issueAt, pre sim.Time, ops []PageOp, a activation, attributing bool) sim.Time {
 	if d.faults.Crashed() {
 		return issueAt
 	}
+	idx := d.scGroups[a.lo:a.hi]
 	if attributing {
 		gc, meta := true, true
-		for _, op := range a.ops {
-			if !op.GC {
+		for _, i := range idx {
+			if !ops[i].GC {
 				gc = false
 			}
-			if !op.Meta {
+			if !ops[i].Meta {
 				meta = false
 			}
 		}
@@ -457,10 +461,12 @@ func (d *Device) runActivation(issueAt, pre sim.Time, a activation, attributing 
 		d.att.StartActivationFold(fold)
 		d.att.Seg(attrib.Meta, pre)
 	}
-	done := d.execActivation(issueAt, a)
+	done := d.execActivation(issueAt, ops, idx)
 	if attributing {
 		d.att.EndActivation(done)
 	}
+	loc := ops[idx[0]].Loc
+	d.foldCover(loc.Channel, loc.Die)
 	return done
 }
 
@@ -475,15 +481,15 @@ func (d *Device) runActivation(issueAt, pre sim.Time, a activation, attributing 
 // than one die) for the request's PAL classification.
 //
 // Everything is built in the device's persistent scratch: the returned
-// activations and their op slices are valid only until the next Submit.
+// activations are valid only until the next call.
 func (d *Device) schedule(ops []PageOp) (out []activation, interleave bool) {
 	dpc := d.Geo.DiesPerChannel()
 	planes := d.Cell.Planes
 	if n := d.Geo.Channels * dpc; len(d.scBuckets) != n {
-		d.scBuckets = make([][]PageOp, n)
+		d.scBuckets = make([][]int32, n)
 	}
 	if planes > 1 && len(d.scPlane) != planes {
-		d.scPlane = make([][]PageOp, planes)
+		d.scPlane = make([][]int32, planes)
 		d.scPlaneHd = make([]int, planes)
 	}
 	buckets := d.scBuckets
@@ -491,9 +497,9 @@ func (d *Device) schedule(ops []PageOp) (out []activation, interleave bool) {
 		buckets[i] = buckets[i][:0]
 	}
 	d.scGroups = d.scGroups[:0]
-	for _, op := range ops {
-		idx := op.Loc.Channel*dpc + op.Loc.Die
-		buckets[idx] = append(buckets[idx], op)
+	for i := range ops {
+		idx := ops[i].Loc.Channel*dpc + ops[i].Loc.Die
+		buckets[idx] = append(buckets[idx], int32(i))
 	}
 
 	nDie, maxLen := 0, 0
@@ -513,8 +519,10 @@ func (d *Device) schedule(ops []PageOp) (out []activation, interleave bool) {
 		}
 		acts := d.scDieActs[nDie][:0]
 		if planes <= 1 {
-			for i := range bucket {
-				acts = append(acts, activation{loc: bucket[i].Loc, ops: bucket[i : i+1 : i+1]})
+			for _, i := range bucket {
+				d.scGroups = append(d.scGroups, i)
+				n := int32(len(d.scGroups))
+				acts = append(acts, activation{n - 1, n})
 			}
 		} else {
 			// Queue per plane, preserving arrival order; heads advance as
@@ -523,9 +531,9 @@ func (d *Device) schedule(ops []PageOp) (out []activation, interleave bool) {
 				d.scPlane[p] = d.scPlane[p][:0]
 				d.scPlaneHd[p] = 0
 			}
-			for _, op := range bucket {
-				p := op.Loc.Plane % planes
-				d.scPlane[p] = append(d.scPlane[p], op)
+			for _, i := range bucket {
+				p := ops[i].Loc.Plane % planes
+				d.scPlane[p] = append(d.scPlane[p], i)
 			}
 			for {
 				gstart := len(d.scGroups)
@@ -536,8 +544,8 @@ func (d *Device) schedule(ops []PageOp) (out []activation, interleave bool) {
 					}
 					head := d.scPlane[p][d.scPlaneHd[p]]
 					if len(d.scGroups) == gstart {
-						verb = head.Op
-					} else if head.Op != verb {
+						verb = ops[head].Op
+					} else if ops[head].Op != verb {
 						continue // different verb cannot share an activation
 					}
 					d.scGroups = append(d.scGroups, head)
@@ -546,11 +554,7 @@ func (d *Device) schedule(ops []PageOp) (out []activation, interleave bool) {
 				if len(d.scGroups) == gstart {
 					break
 				}
-				// The arena may regrow under later groups; earlier group
-				// slices keep the copied-out old backing, which is fine —
-				// groups are read-only for the rest of the request.
-				group := d.scGroups[gstart:len(d.scGroups):len(d.scGroups)]
-				acts = append(acts, activation{loc: group[0].Loc, ops: group})
+				acts = append(acts, activation{int32(gstart), int32(len(d.scGroups))})
 			}
 		}
 		d.scDieActs[nDie] = acts
@@ -570,6 +574,43 @@ func (d *Device) schedule(ops []PageOp) (out []activation, interleave bool) {
 	}
 	d.scOut = out
 	return out, interleave
+}
+
+// foldCover folds the cover sets of a channel and of a die's package at
+// their watermarks. Every later booking on a die or a bus starts at or after
+// that timeline's free horizon (sim.Timeline.Acquire), and cache-mode
+// staging, which is not booked, starts at or after its die's; so no later
+// mark on a set can start before the least horizon among the resources
+// feeding it — the bus and every die for a channel, the package's dies for
+// a package. A die that is never booked holds its sets' watermark at 0.
+func (d *Device) foldCover(c, die int) {
+	dies := d.dies[c]
+	ppc := d.Geo.PackagesPerChannel
+	pkg := d.Geo.Package(die)
+	chW, pkgW := d.chanBus[c].FreeAt(), dies[pkg].FreeAt()
+	for i := range dies {
+		f := dies[i].FreeAt()
+		chW = min(chW, f)
+		if i%ppc == pkg {
+			pkgW = min(pkgW, f)
+		}
+	}
+	d.chCover[c].Fold(chW)
+	d.pkgCover[c][pkg].Fold(pkgW)
+}
+
+// PendingCoverSpans reports the largest pending (unfolded) span count over
+// the channel and package cover sets: the memory the utilization probes
+// hold.
+func (d *Device) PendingCoverSpans() int {
+	n := 0
+	for c := range d.chCover {
+		n = max(n, d.chCover[c].Len())
+		for p := range d.pkgCover[c] {
+			n = max(n, d.pkgCover[c][p].Len())
+		}
+	}
+	return n
 }
 
 // markChan records channel busy time for the utilization probes.
@@ -629,30 +670,31 @@ func (d *Device) attEntryWait(dieIdx int, wait sim.Time) {
 }
 
 // execActivation schedules one cell activation (1..Planes page ops on a
-// single die) and returns its completion time, accumulating the six-state
-// breakdown along the way.
-func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
-	ch := &d.chanBus[a.loc.Channel]
-	die := &d.dies[a.loc.Channel][a.loc.Die]
-	cmd := d.Bus.CommandTime()
-	reg := d.regTime()
-	xfer := d.Bus.TransferTime(d.Cell.PageSize)
-	dieIdx := a.loc.Channel*d.Geo.DiesPerChannel() + a.loc.Die
+// single die, the batch ops at idx) and returns its completion time,
+// accumulating the six-state breakdown along the way.
+func (d *Device) execActivation(issue sim.Time, ops []PageOp, idx []int32) sim.Time {
+	first := &ops[idx[0]]
+	c, di := first.Loc.Channel, first.Loc.Die
+	ch := &d.chanBus[c]
+	die := &d.dies[c][di]
+	cmd, reg, xfer := d.tCmd, d.tReg, d.tXfer
+	dieIdx := c*d.Geo.DiesPerChannel() + di
+	pages := int64(len(idx))
 
 	// Trace tracks: one "thread" per die and per channel bus. Names are
 	// built only when a live probe will consume the spans.
 	probing := d.probe.Enabled()
 	var dieTrack, busTrack string
 	if probing {
-		dieTrack = fmt.Sprintf("ch%02d/die%02d", a.loc.Channel, a.loc.Die)
-		busTrack = fmt.Sprintf("ch%02d/bus", a.loc.Channel)
+		dieTrack = fmt.Sprintf("ch%02d/die%02d", c, di)
+		busTrack = fmt.Sprintf("ch%02d/bus", c)
 	}
 	attributing := d.att.DeviceActive()
 	// All-GC activations bank their die occupancy so that later host chains
 	// in the same request can re-label the wait they induce (attEntryWait).
 	gcAcc := attributing && d.attActGC
 
-	switch a.ops[0].Op {
+	switch first.Op {
 	case OpRead:
 		// Command/address cycles reach the die through the channel; they are
 		// a dozen bus clocks, so they are folded into the die's occupancy
@@ -661,9 +703,8 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 		d.breakdown.ChannelBus += cmd
 		// Sensing on the die (one tR regardless of merged plane count).
 		as, ae := die.Acquire(issue, cmd+d.Cell.ReadLatency)
-		d.chargeDieWait(a.loc.Channel, a.loc.Die, issue, as)
+		d.chargeDieWait(c, di, issue, as)
 		d.breakdown.CellActivation += d.Cell.ReadLatency
-		d.markDie(a.loc.Channel, a.loc.Die, as, ae)
 		if attributing {
 			d.attEntryWait(dieIdx, as-issue)
 		}
@@ -679,17 +720,16 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 		// data can stage out. Each step costs a full command+tR.
 		if d.faults != nil {
 			retries := 0
-			for _, op := range a.ops {
-				if rr := d.faults.ReadPage(op.PPN); rr.Retries > retries {
+			for _, i := range idx {
+				if rr := d.faults.ReadPage(ops[i].PPN); rr.Retries > retries {
 					retries = rr.Retries
 				}
 			}
 			if retries > 0 {
 				step := sim.Time(retries) * (cmd + d.Cell.ReadLatency)
 				rs, re := die.Acquire(ae, step)
-				d.chargeDieWait(a.loc.Channel, a.loc.Die, ae, rs)
+				d.chargeDieWait(c, di, ae, rs)
 				d.breakdown.CellActivation += step
-				d.markDie(a.loc.Channel, a.loc.Die, rs, re)
 				d.hRetry.Observe(step)
 				d.att.Seg(attrib.DieWait, rs-ae)
 				d.att.Seg(attrib.Retry, re-rs)
@@ -703,40 +743,37 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 				ae = re
 			}
 		}
-		// Per merged page: register staging then data-out then DMA. In cache
-		// mode the staging drains from the secondary register, leaving the
-		// die free to sense the next page immediately.
-		//
+		// Per merged page: register staging then data-out then DMA. Staging
+		// is contiguous from ae: in cache mode it drains from the secondary
+		// register, leaving the die free to sense the next page immediately;
+		// otherwise it books the die back to back from its horizon, ae. In
+		// both modes the die is busy over [as, ae+pages*reg), marked once.
+		stageEnd := ae + sim.Time(pages)*reg
+		if !d.cacheMode {
+			die.Acquire(ae, stageEnd-ae)
+			if gcAcc {
+				d.attGCSvc[dieIdx] += stageEnd - ae
+			}
+		}
+		d.breakdown.FlashBus += stageEnd - ae
+		d.markDie(c, di, as, stageEnd)
 		// For attribution the critical page is the one completing the
 		// activation (the first page reaching the maximum DMA end, matching
 		// sim.MaxTime keeping the first maximum); its chain from the
 		// post-sense instant — staging, bus wait, bus transfer, host-link
-		// time — telescopes exactly to the activation's completion. Staging
-		// is contiguous within an activation (the die horizon equals the
-		// previous staging's end, trivially so in cache mode), so the
-		// critical page's staging total is just its staging end minus ae.
+		// time — telescopes exactly to the activation's completion; its
+		// staging total is just its staging end minus ae.
 		end := ae
-		cursor := ae
 		var critStage, critBusW, critBusX, critLink sim.Time
 		critEnd := ae
-		for range a.ops {
-			var rs, re sim.Time
-			if d.cacheMode {
-				rs, re = cursor, cursor+reg
-			} else {
-				rs, re = die.Acquire(cursor, reg)
-				if gcAcc {
-					d.attGCSvc[dieIdx] += re - rs
-				}
-			}
-			d.breakdown.FlashBus += reg
-			d.markDie(a.loc.Channel, a.loc.Die, rs, re)
+		for k := int64(1); k <= pages; k++ {
+			re := ae + sim.Time(k)*reg
 			xs, xe := ch.Acquire(re, xfer)
-			d.chargeChanWait(a.loc.Channel, re, xs)
+			d.chargeChanWait(c, re, xs)
 			d.breakdown.ChannelBus += xfer
-			d.markChan(a.loc.Channel, xs, xe)
+			d.markChan(c, xs, xe)
 			if probing {
-				d.probe.Span(obs.LayerNVM, dieTrack, "stage", rs, re)
+				d.probe.Span(obs.LayerNVM, dieTrack, "stage", re-reg, re)
 				d.probe.Span(obs.LayerNVM, busTrack, "xfer", xs, xe)
 			}
 			de := d.link.Transfer(xe, d.Cell.PageSize)
@@ -748,11 +785,10 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 				critBusX = xe - xs
 				critLink = de - xe
 			}
-			cursor = re
 			end = sim.MaxTime(end, de)
-			d.cBytesRd.Add(d.Cell.PageSize)
-			d.cReads.Inc()
 		}
+		d.cReads.Add(pages)
+		d.cBytesRd.Add(pages * d.Cell.PageSize)
 		if attributing && critEnd > ae {
 			d.att.Seg(attrib.DieService, critStage)
 			d.att.Seg(attrib.BusWait, critBusW)
@@ -773,7 +809,7 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 	case OpProgram:
 		// Host data lands in the controller first.
 		dmaEnd := issue
-		for range a.ops {
+		for range idx {
 			dmaEnd = d.link.Transfer(dmaEnd, d.Cell.PageSize)
 		}
 		d.breakdown.NonOverlappedDMA += dmaEnd - issue
@@ -781,7 +817,7 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 			// Host DMA: pure wire time for the payload, the rest is
 			// queueing behind other transfers on the shared link.
 			total := dmaEnd - issue
-			wire := sim.Time(len(a.ops)) * sim.DurationForBytes(d.Cell.PageSize, d.link.BytesPerSec())
+			wire := sim.Time(pages) * sim.DurationForBytes(d.Cell.PageSize, d.link.BytesPerSec())
 			if wire > total {
 				wire = total
 			}
@@ -793,11 +829,11 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 		// (see the read path for why they do not book the bus horizon).
 		d.breakdown.ChannelBus += cmd
 		cursor := dmaEnd + cmd
-		for range a.ops {
+		for range idx {
 			xs, xe := ch.Acquire(cursor, xfer)
-			d.chargeChanWait(a.loc.Channel, cursor, xs)
+			d.chargeChanWait(c, cursor, xs)
 			d.breakdown.ChannelBus += xfer
-			d.markChan(a.loc.Channel, xs, xe)
+			d.markChan(c, xs, xe)
 			d.att.Seg(attrib.BusWait, xs-cursor)
 			d.att.Seg(attrib.BusXfer, xe-xs)
 			rs, re := die.Acquire(xe, reg)
@@ -805,21 +841,21 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 				d.attGCSvc[dieIdx] += re - rs
 			}
 			d.breakdown.FlashBus += reg
-			d.markDie(a.loc.Channel, a.loc.Die, rs, re)
+			d.markDie(c, di, rs, re)
 			if probing {
 				d.probe.Span(obs.LayerNVM, busTrack, "xfer", xs, xe)
 				d.probe.Span(obs.LayerNVM, dieTrack, "stage", rs, re)
 			}
 			cursor = xe
-			d.cBytesWr.Add(d.Cell.PageSize)
-			d.cProgs.Inc()
 		}
+		d.cProgs.Add(pages)
+		d.cBytesWr.Add(pages * d.Cell.PageSize)
 		// One program covers all merged planes.
 		lat := d.Cell.ProgramLatency(d.rng)
 		ps, pe := die.Acquire(cursor, lat)
-		d.chargeDieWait(a.loc.Channel, a.loc.Die, cursor, ps)
+		d.chargeDieWait(c, di, cursor, ps)
 		d.breakdown.CellActivation += lat
-		d.markDie(a.loc.Channel, a.loc.Die, ps, pe)
+		d.markDie(c, di, ps, pe)
 		// The wait covers the register-staging drain of this activation's
 		// own data-in as well as earlier activations on the die.
 		if attributing {
@@ -833,7 +869,7 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 			d.probe.Span(obs.LayerNVM, dieTrack, "program", ps, pe)
 		}
 		if d.faults != nil || d.media != nil {
-			for _, op := range a.ops {
+			for _, i := range idx {
 				if d.faults.Crashed() {
 					break
 				}
@@ -842,15 +878,15 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 					// (payload garbage, OOB tags unlanded); later planes
 					// of the activation never started.
 					if d.media != nil {
-						d.media.MediaProgram(op, true)
+						d.media.MediaProgram(ops[i], true)
 					}
 					break
 				}
 				if d.media != nil {
-					d.media.MediaProgram(op, false)
+					d.media.MediaProgram(ops[i], false)
 				}
 				if d.faults != nil {
-					d.faults.OnProgram(op.PPN)
+					d.faults.OnProgram(ops[i].PPN)
 				}
 			}
 		}
@@ -859,9 +895,9 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 	case OpErase:
 		d.breakdown.ChannelBus += cmd
 		es, ee := die.Acquire(issue, cmd+d.Cell.EraseLatency)
-		d.chargeDieWait(a.loc.Channel, a.loc.Die, issue, es)
+		d.chargeDieWait(c, di, issue, es)
 		d.breakdown.CellActivation += d.Cell.EraseLatency
-		d.markDie(a.loc.Channel, a.loc.Die, es, ee)
+		d.markDie(c, di, es, ee)
 		if attributing {
 			d.attEntryWait(dieIdx, es-issue)
 		}
@@ -872,7 +908,8 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 		if probing {
 			d.probe.Span(obs.LayerNVM, dieTrack, "erase", es, ee)
 		}
-		for _, op := range a.ops {
+		for _, i := range idx {
+			op := &ops[i]
 			if d.faults.Crashed() {
 				break
 			}
@@ -881,7 +918,7 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 				// block's contents, so the media still clears it, but the
 				// wear bump and fault report never happen.
 				if d.media != nil {
-					d.media.MediaErase(op, true)
+					d.media.MediaErase(*op, true)
 				}
 				break
 			}
@@ -889,7 +926,7 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 			key := Location{Channel: op.Loc.Channel, Die: op.Loc.Die, Plane: op.Loc.Plane}
 			d.eraseCount[key]++
 			if d.media != nil {
-				d.media.MediaErase(op, false)
+				d.media.MediaErase(*op, false)
 			}
 			if d.faults != nil {
 				d.faults.OnErase(op.PPN)
@@ -898,6 +935,6 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 		return ee
 
 	default:
-		panic(fmt.Sprintf("nvm: unknown op %v", a.ops[0].Op))
+		panic(fmt.Sprintf("nvm: unknown op %v", first.Op))
 	}
 }

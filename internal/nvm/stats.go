@@ -132,7 +132,7 @@ func (d *Device) DieFreeAt(channel, die int) sim.Time {
 func (d *Device) IdealReadBandwidth() float64 {
 	planes := d.Cell.Planes
 	perAct := float64(int64(planes) * d.Cell.PageSize)
-	cycle := d.Cell.ReadLatency + sim.Time(planes)*(d.regTime()+d.Bus.TransferTime(d.Cell.PageSize))
+	cycle := d.Cell.ReadLatency + sim.Time(planes)*(d.tReg+d.tXfer)
 	dieRate := perAct / cycle.Seconds()
 	cellRate := dieRate * float64(d.Geo.DiesPerChannel())
 	bus := d.Bus.BytesPerSec()

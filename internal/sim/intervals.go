@@ -1,133 +1,88 @@
 package sim
 
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
+
 // IntervalSet accumulates possibly-overlapping busy intervals and reports
 // the total covered time — the "kept busy" union the paper's channel- and
-// package-level utilization probes measure. Appends that touch the most
-// recent interval are coalesced immediately; the rest are merged lazily.
+// package-level utilization probes measure.
+//
+// The set streams. Its owner calls Fold(w) with a watermark w below which no
+// later Add can start; every pending span ending at or before w is then
+// disjoint from all future spans, so its length moves into a scalar total
+// and the span is dropped. Pending spans are kept sorted by start and
+// pairwise disjoint (an Add merges whatever it touches), so folding pops from
+// the front and Covered never sorts. Memory is therefore bounded by the spans
+// at or above the watermark — in-flight work when the watermark tracks the
+// owner's resource horizons. A set whose watermark never moves (its owner
+// has a resource that is never booked, say) keeps every disjoint span, as an
+// unfolded union must.
 type IntervalSet struct {
-	spans  []span
-	sorted bool
-	// nextCompact is the span count that triggers the next in-place merge;
-	// it doubles relative to what survives a merge so genuinely disjoint
-	// workloads stay amortized O(1) per Add instead of re-merging every
-	// append.
-	nextCompact int
+	spans  []span // pending spans: sorted, disjoint, non-touching
+	folded Time   // covered time of the spans already folded away
+	floor  Time   // highest watermark passed to Fold
 }
 
 type span struct{ start, end Time }
 
-// compactThreshold bounds the lazily-accumulated tail: once the set holds
-// this many spans it merges in place, so a long replay's per-event appends
-// reuse a bounded, recycled backing array instead of growing one span per
-// booking for the whole run.
-const compactThreshold = 256
-
 // Add records a busy interval. Zero- or negative-length intervals are
-// ignored.
+// ignored. An interval starting below the fold watermark breaks the promise
+// Fold was given and would be double-counted, so Add panics on it.
 func (s *IntervalSet) Add(start, end Time) {
 	if end <= start {
 		return
 	}
-	if n := len(s.spans); n > 0 {
-		last := &s.spans[n-1]
-		if start <= last.end && end >= last.start {
-			if start < last.start {
-				last.start = start
-				s.sorted = false
-			}
-			if end > last.end {
-				last.end = end
-			}
-			return
-		}
-		if start < last.end {
-			s.sorted = false
-		}
+	if start < s.floor {
+		panic(fmt.Sprintf("sim: interval [%d, %d) starts below the fold watermark %d", start, end, s.floor))
 	}
-	s.spans = append(s.spans, span{start, end})
-	if s.nextCompact == 0 {
-		s.nextCompact = compactThreshold
-	}
-	if len(s.spans) >= s.nextCompact {
-		s.compact()
-		s.nextCompact = 2 * len(s.spans)
-		if s.nextCompact < compactThreshold {
-			s.nextCompact = compactThreshold
-		}
-	}
-}
-
-// compact sorts and merges the spans in place (the union is unchanged),
-// shrinking the set back to its disjoint intervals while keeping the backing
-// storage for subsequent appends.
-func (s *IntervalSet) compact() {
-	if len(s.spans) == 0 {
-		s.sorted = true
+	n := len(s.spans)
+	if n == 0 || start > s.spans[n-1].end {
+		s.spans = append(s.spans, span{start, end})
 		return
 	}
-	if !s.sorted {
-		sortSpans(s.spans)
+	if last := &s.spans[n-1]; start >= last.start {
+		last.end = max(last.end, end)
+		return
 	}
-	merged := s.spans[:1]
-	for _, sp := range s.spans[1:] {
-		last := &merged[len(merged)-1]
-		if sp.start <= last.end {
-			if sp.end > last.end {
-				last.end = sp.end
-			}
-			continue
-		}
-		merged = append(merged, sp)
+	// Spans [i, j) touch [start, end): ends are increasing, so the first
+	// reaching start is found by bisection; the touched run is short.
+	i := sort.Search(n, func(k int) bool { return s.spans[k].end >= start })
+	j := i
+	for j < n && s.spans[j].start <= end {
+		j++
 	}
-	s.spans = merged
-	s.sorted = true
+	if i == j {
+		s.spans = slices.Insert(s.spans, i, span{start, end})
+		return
+	}
+	s.spans[i] = span{min(start, s.spans[i].start), max(end, s.spans[j-1].end)}
+	s.spans = slices.Delete(s.spans, i+1, j)
 }
 
-// sortSpans orders spans by start time with an in-place heapsort.
-// sort.Slice would allocate (its reflect-based swapper escapes) on every
-// compaction, which Stats-time Covered calls turn into a per-run cost
-// multiplied by the channel and package cover-set count; a hand-rolled sort
-// keeps the compaction allocation-free. Ties in start order are merged away
-// by compact, so the unstable order cannot change the union.
-func sortSpans(spans []span) {
-	n := len(spans)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftSpan(spans, i, n)
+// Fold promises that no later Add starts before w and folds every pending
+// span ending at or before w into the covered total. A watermark below an
+// earlier one is a weaker promise and changes nothing.
+func (s *IntervalSet) Fold(w Time) {
+	if w <= s.floor {
+		return
 	}
-	for i := n - 1; i > 0; i-- {
-		spans[0], spans[i] = spans[i], spans[0]
-		siftSpan(spans, 0, i)
+	s.floor = w
+	k := 0
+	for k < len(s.spans) && s.spans[k].end <= w {
+		s.folded += s.spans[k].end - s.spans[k].start
+		k++
 	}
-}
-
-// siftSpan restores the max-heap property for the subtree rooted at i,
-// considering only the first n elements.
-func siftSpan(spans []span, i, n int) {
-	for {
-		big := i
-		if l := 2*i + 1; l < n && spans[l].start > spans[big].start {
-			big = l
-		}
-		if r := 2*i + 2; r < n && spans[r].start > spans[big].start {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		spans[i], spans[big] = spans[big], spans[i]
-		i = big
+	if k > 0 {
+		s.spans = s.spans[:copy(s.spans, s.spans[k:])]
 	}
 }
 
 // Covered returns the total length of the union of all intervals.
 func (s *IntervalSet) Covered() Time {
-	if len(s.spans) == 0 {
-		return 0
-	}
-	if !s.sorted {
-		s.compact()
-	}
-	var total Time
+	total := s.folded
 	for _, sp := range s.spans {
 		total += sp.end - sp.start
 	}
@@ -147,7 +102,7 @@ func (s *IntervalSet) Utilization(spanLen Time) float64 {
 }
 
 // Reset empties the set, keeping its storage for reuse.
-func (s *IntervalSet) Reset() { s.spans = s.spans[:0]; s.sorted = false; s.nextCompact = 0 }
+func (s *IntervalSet) Reset() { *s = IntervalSet{spans: s.spans[:0]} }
 
-// Len reports the current (possibly unmerged) interval count, for tests.
+// Len reports the pending (unfolded) span count: the set's memory.
 func (s *IntervalSet) Len() int { return len(s.spans) }

@@ -59,7 +59,7 @@ func TestIntervalSetAddAfterCovered(t *testing.T) {
 	if s.Covered() != 10 {
 		t.Fatal("setup")
 	}
-	// Adding after a lazy merge must still work, both appending and
+	// Adding after a Covered read must still work, both appending and
 	// overlapping.
 	s.Add(20, 30)
 	s.Add(25, 40)
@@ -93,14 +93,23 @@ func TestIntervalSetReset(t *testing.T) {
 }
 
 // Property: Covered matches a brute-force union over arbitrary interval
-// sequences.
+// sequences. When moves is non-empty the stream also respects a moving
+// watermark — each span starts at or above it — and the set is folded at
+// the watermark at random points, which must not change the union.
 func TestIntervalSetMatchesBruteForceProperty(t *testing.T) {
 	type iv struct{ s, e Time }
-	f := func(raw []uint16) bool {
+	f := func(raw []uint16, moves []uint8) bool {
 		var set IntervalSet
 		var ivs []iv
-		for _, r := range raw {
-			start := Time(r % 199)
+		var w Time
+		for i, r := range raw {
+			if len(moves) > 0 {
+				if m := moves[i%len(moves)]; m%3 == 0 {
+					w += Time(m % 41)
+					set.Fold(w)
+				}
+			}
+			start := w + Time(r%199)
 			end := start + Time(r%31)
 			set.Add(start, end)
 			if end > start {
@@ -130,9 +139,43 @@ func TestIntervalSetMatchesBruteForceProperty(t *testing.T) {
 		}
 		return set.Covered() == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+func TestIntervalSetFoldDropsSettledSpans(t *testing.T) {
+	var s IntervalSet
+	s.Add(0, 10)
+	s.Add(20, 30)
+	s.Add(25, 40)
+	s.Fold(30) // [0,10) settles; [20,40) straddles the watermark
+	if s.Len() != 1 || s.Covered() != 30 {
+		t.Fatalf("after Fold(30): len=%d covered=%v, want 1 and 30", s.Len(), s.Covered())
+	}
+	s.Add(40, 50) // touches the pending span: merges
+	s.Fold(20)    // a lower watermark is a weaker promise: no-op
+	s.Fold(50)
+	if s.Len() != 0 || s.Covered() != 40 {
+		t.Fatalf("after Fold(50): len=%d covered=%v, want 0 and 40", s.Len(), s.Covered())
+	}
+	s.Reset()
+	s.Add(0, 5) // Reset lowers the watermark again
+	if s.Covered() != 5 {
+		t.Fatalf("after Reset: covered=%v, want 5", s.Covered())
+	}
+}
+
+func TestIntervalSetAddBelowWatermarkPanics(t *testing.T) {
+	var s IntervalSet
+	s.Add(0, 10)
+	s.Fold(8)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add below the fold watermark must panic")
+		}
+	}()
+	s.Add(7, 12)
 }
 
 // Property: interleaving Covered() calls with Adds never changes the result.
@@ -145,7 +188,7 @@ func TestIntervalSetLazyMergeStableProperty(t *testing.T) {
 			a.Add(start, end)
 			b.Add(start, end)
 			if i%int(probe%5+1) == 0 {
-				_ = b.Covered() // force intermediate merges
+				_ = b.Covered() // read mid-stream
 			}
 		}
 		return a.Covered() == b.Covered()
