@@ -10,7 +10,6 @@
 package ftl
 
 import (
-	"container/heap"
 	"fmt"
 
 	"oocnvm/internal/nvm"
@@ -37,13 +36,13 @@ type FTL struct {
 	// and retirement could relocate stale identity data.
 	dead map[int64]bool
 
+	// sb is the superblock table and the only record of the free pool: a
+	// superblock is allocatable exactly when its free flag is set.
 	sb        []superblock
-	freeHeap  wearHeap // free superblocks ordered by wear (wear leveling)
-	active    int64    // currently filling superblock, -1 if none
-	writePtr  int64    // next page slot within the active superblock
-	inGC      bool     // guards against reentrant garbage collection
-	preloaded int64    // superblocks occupied by preloaded, identity-mapped data
-	reserve   int      // GC trigger: minimum free superblocks to maintain
+	active    int64 // currently filling superblock, -1 if none
+	writePtr  int64 // next page slot within the active superblock
+	inGC      bool  // guards against reentrant garbage collection
+	preloaded int64 // superblocks occupied by preloaded, identity-mapped data
 
 	// Statistics.
 	gcRuns     int64
@@ -110,16 +109,17 @@ type superblock struct {
 	valid  int64
 	wear   int64
 	sealed bool
-	free   bool
+	free   bool // in the free pool; implies !bad (retirement clears it)
 	// bad marks a grown-bad superblock: retired from circulation after a
 	// program or erase failure, never allocated or collected again.
 	bad bool
 }
 
+// reserveSuperblocks is the free-pool low-water mark that triggers GC.
+const reserveSuperblocks = 2
+
 // Config tunes the FTL.
 type Config struct {
-	// ReserveSuperblocks is the free-pool low-water mark that triggers GC.
-	ReserveSuperblocks int
 	// Durable enables the crash-consistent metadata model: per-page OOB
 	// tags, an L2P delta journal and periodic mapping-table checkpoints.
 	Durable DurableConfig
@@ -130,27 +130,22 @@ func New(geo nvm.Geometry, cell nvm.CellParams, cfg Config) (*FTL, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.ReserveSuperblocks <= 0 {
-		cfg.ReserveSuperblocks = 2
-	}
 	f := &FTL{
-		geo:     geo,
-		cell:    cell,
-		rowsz:   int64(geo.Channels * cell.Planes * geo.DiesPerChannel()),
-		ppb:     int64(cell.PagesPerBlock),
-		super:   int64(geo.BlocksPerPlane),
-		l2p:     make(map[int64]int64),
-		p2l:     make(map[int64]int64),
-		dead:    make(map[int64]bool),
-		active:  -1,
-		reserve: cfg.ReserveSuperblocks,
-		probe:   obs.Nop{},
+		geo:    geo,
+		cell:   cell,
+		rowsz:  int64(geo.Channels * cell.Planes * geo.DiesPerChannel()),
+		ppb:    int64(cell.PagesPerBlock),
+		super:  int64(geo.BlocksPerPlane),
+		l2p:    make(map[int64]int64),
+		p2l:    make(map[int64]int64),
+		dead:   make(map[int64]bool),
+		active: -1,
+		probe:  obs.Nop{},
 	}
 	f.spb = f.rowsz * f.ppb
 	f.sb = make([]superblock, f.super)
 	for i := range f.sb {
 		f.sb[i].free = true
-		heap.Push(&f.freeHeap, wearEntry{id: int64(i), wear: 0})
 	}
 	if cfg.Durable.Enabled {
 		d := cfg.Durable
@@ -200,20 +195,12 @@ func (f *FTL) superOf(ppn int64) int64 { return ppn / f.spb }
 func (f *FTL) Preload(bytes int64) error {
 	pages := (bytes + f.cell.PageSize - 1) / f.cell.PageSize
 	supers := (pages + f.spb - 1) / f.spb
-	if supers > f.super-int64(f.reserve) {
+	if supers > f.super-reserveSuperblocks {
 		return fmt.Errorf("ftl: preload of %d bytes needs %d superblocks, only %d available",
-			bytes, supers, f.super-int64(f.reserve))
+			bytes, supers, f.super-reserveSuperblocks)
 	}
-	// Rebuild the free heap without the preloaded superblocks.
-	f.freeHeap = f.freeHeap[:0]
-	for i := int64(0); i < f.super; i++ {
-		if i < supers {
-			f.sb[i] = superblock{valid: f.spb, sealed: true}
-			continue
-		}
-		if f.sb[i].free {
-			heap.Push(&f.freeHeap, wearEntry{id: i, wear: f.sb[i].wear})
-		}
+	for i := int64(0); i < supers; i++ {
+		f.sb[i] = superblock{valid: f.spb, sealed: true}
 	}
 	f.preloaded = supers
 	if f.dur != nil {
@@ -230,6 +217,20 @@ func (f *FTL) Preload(bytes int64) error {
 		f.dur.journalPages++
 	}
 	return nil
+}
+
+// liveIdentity reports whether lpn's preloaded identity slot still holds
+// live data: inside the preloaded extent, neither overwritten nor trimmed.
+func (f *FTL) liveIdentity(lpn int64) bool {
+	return lpn < f.preloaded*f.spb && !f.dead[lpn]
+}
+
+// dropIdentity invalidates lpn's live identity slot. The dead mark makes
+// this happen at most once per slot, so a later trim cannot drive the
+// superblock's valid count negative.
+func (f *FTL) dropIdentity(lpn int64) {
+	f.sb[f.superOf(lpn)].valid--
+	f.dead[lpn] = true
 }
 
 // lookup returns the physical page currently holding lpn.
@@ -312,11 +313,8 @@ func (f *FTL) program(ops []nvm.PageOp, lpn int64, host bool) []nvm.PageOp {
 	if had {
 		f.sb[f.superOf(old)].valid--
 		delete(f.p2l, old)
-	} else if lpn < f.preloaded*f.spb && !f.dead[lpn] {
-		// Overwriting identity-mapped preloaded data; the identity slot is
-		// dead from here on.
-		f.sb[f.superOf(lpn)].valid--
-		f.dead[lpn] = true
+	} else if f.liveIdentity(lpn) {
+		f.dropIdentity(lpn) // overwriting identity-mapped preloaded data
 	}
 	ppn := f.active*f.spb + f.writePtr
 	f.writePtr++
@@ -341,34 +339,38 @@ func (f *FTL) program(ops []nvm.PageOp, lpn int64, host bool) []nvm.PageOp {
 	return ops
 }
 
-// allocSuperblock takes the least-worn free superblock, skipping stale heap
-// entries for superblocks that have since grown bad.
+// allocSuperblock takes the free superblock with the least wear, ties to
+// the lowest id (wear leveling). RetireBlock refuses any retirement that
+// would leave GC unable to keep a superblock free, so an empty pool here is
+// a bug, not a device condition.
 func (f *FTL) allocSuperblock() int64 {
-	for f.freeHeap.Len() > 0 {
-		e := heap.Pop(&f.freeHeap).(wearEntry)
-		if f.sb[e.id].bad {
-			continue
+	best := int64(-1)
+	for i := range f.sb {
+		if f.sb[i].free && (best < 0 || f.sb[i].wear < f.sb[best].wear) {
+			best = int64(i)
 		}
-		f.sb[e.id].free = false
-		f.sb[e.id].sealed = false
-		f.sb[e.id].valid = 0
-		return e.id
 	}
-	panic("ftl: free pool exhausted despite GC reserve")
+	if best < 0 {
+		panic("ftl: free pool exhausted despite GC reserve")
+	}
+	f.sb[best].free = false
+	f.sb[best].sealed = false
+	f.sb[best].valid = 0
+	return best
 }
 
 // maybeGC reclaims sealed superblocks until the free pool meets the reserve.
 // It refuses to run reentrantly: collect's relocation programs call back
 // into program, and a nested GC round could pick a victim an outer round is
-// still collecting — the victim would be pushed onto the free heap twice and
-// later be the active log twice, overwriting live pages.
+// still collecting — the victim would be freed twice and later be the
+// active log twice, overwriting live pages.
 func (f *FTL) maybeGC(ops []nvm.PageOp) []nvm.PageOp {
 	if f.inGC {
 		return ops
 	}
 	f.inGC = true
 	defer func() { f.inGC = false }()
-	for f.freeHeap.Len() < f.reserve {
+	for f.usableFree() < reserveSuperblocks {
 		victim := f.pickVictim()
 		if victim < 0 {
 			break // nothing reclaimable
@@ -420,7 +422,6 @@ func (f *FTL) collect(ops []nvm.PageOp, victim int64) []nvm.PageOp {
 	f.sb[victim].wear++
 	f.sb[victim].free = true
 	f.sb[victim].sealed = false
-	heap.Push(&f.freeHeap, wearEntry{id: victim, wear: f.sb[victim].wear})
 	ops = f.appendRec(ops, rec{Kind: recErase, A: victim, V: uint64(f.sb[victim].wear)})
 	f.probe.Count("ftl.gc.relocated_pages", f.relocated-relocatedBefore)
 	f.probe.Count("ftl.gc.erases", f.rowsz)
@@ -484,12 +485,11 @@ func (f *FTL) RegisterSeries(ts *timeseries.Sampler) {
 	}
 }
 
-// usableFree counts free superblocks still fit for allocation (the heap may
-// hold stale entries for superblocks that grew bad while free).
+// usableFree counts the superblocks in the free pool.
 func (f *FTL) usableFree() int {
 	n := 0
-	for _, e := range f.freeHeap {
-		if !f.sb[e.id].bad {
+	for i := range f.sb {
+		if f.sb[i].free {
 			n++
 		}
 	}
@@ -501,33 +501,42 @@ func (f *FTL) usableFree() int {
 // circulation (the superblock is this FTL's allocation and erase unit), its
 // still-valid pages — mapped or preloaded-identity — are relocated into the
 // log, and the mapping is updated so subsequent reads find the moved data.
-// OK is false when no usable free superblock remains to relocate into, which
-// the controller must treat as the end of the device's writable life.
+// OK is false when the surviving superblocks could not absorb the victim's
+// data, which the controller must treat as the end of the device's writable
+// life.
 func (f *FTL) RetireBlock(ppn int64) nvm.Retirement {
 	v := f.superOf(ppn % f.Pages())
 	s := &f.sb[v]
 	if s.bad {
 		return nvm.Retirement{OK: true}
 	}
-	// The relocation target space is the free pool (excluding the victim
-	// itself, which may still be sitting in it) plus the unwritten tail of
-	// the active superblock (unless that is the one being retired). Refusing
-	// when the victim's valid pages exceed it — or when nothing writable
-	// would remain at all — keeps allocSuperblock from ever hitting an empty
-	// pool mid-relocation and stops the device retiring its last blocks.
-	room := int64(0)
-	for _, e := range f.freeHeap {
-		if !f.sb[e.id].bad && e.id != v {
+	// Refusing either capacity test keeps allocSuperblock from ever meeting
+	// an empty pool. Now: room (the free pool other than the victim, plus
+	// the active superblock's unwritten tail unless that is the victim)
+	// must hold the victim's valid pages plus a superblock of slack, so the
+	// log can still cycle after the relocation. Later: every live page must
+	// fit in the survivors less the GC reserve, so whenever GC runs some
+	// sealed superblock holds garbage; otherwise GC finds only fully-valid
+	// victims and the pool drains mid-relocation.
+	room, live, usable := int64(0), int64(0), int64(0)
+	for i := range f.sb {
+		t := &f.sb[i]
+		if t.bad {
+			continue
+		}
+		live += t.valid
+		if int64(i) == v {
+			continue
+		}
+		usable++
+		if t.free {
 			room += f.spb
 		}
 	}
 	if f.active >= 0 && v != f.active {
 		room += f.spb - f.writePtr
 	}
-	// Demand a full superblock of slack beyond the relocated pages: retiring
-	// into exactly-fitting space leaves the log nowhere to cycle its active
-	// superblock, and GC would spin over fully-valid victims forever.
-	if room == 0 || s.valid+f.spb > room {
+	if s.valid+f.spb > room || live > (usable-reserveSuperblocks)*f.spb {
 		return nvm.Retirement{}
 	}
 	f.grownBad++
@@ -568,7 +577,7 @@ func (f *FTL) RetireBlock(ppn int64) nvm.Retirement {
 func (f *FTL) relocatePage(ops []nvm.PageOp, p int64) ([]nvm.PageOp, bool) {
 	lpn, mapped := f.p2l[p]
 	if !mapped {
-		if p >= f.preloaded*f.spb || f.dead[p] {
+		if !f.liveIdentity(p) {
 			return ops, false
 		}
 		lpn = p
@@ -586,11 +595,12 @@ func (f *FTL) relocatePage(ops []nvm.PageOp, p int64) ([]nvm.PageOp, bool) {
 }
 
 // WriteAmplification returns NAND writes per host write (1.0 = none).
+// NAND writes already include every relocation and metadata page.
 func (f *FTL) WriteAmplification() float64 {
 	if f.hostWrites == 0 {
 		return 0
 	}
-	return float64(f.nandWrites+f.relocated) / float64(f.hostWrites)
+	return float64(f.nandWrites) / float64(f.hostWrites)
 }
 
 // MaxWear returns the highest superblock erase count.
@@ -602,30 +612,4 @@ func (f *FTL) MaxWear() int64 {
 		}
 	}
 	return m
-}
-
-// --- wear-ordered free heap --------------------------------------------
-
-type wearEntry struct {
-	id   int64
-	wear int64
-}
-
-type wearHeap []wearEntry
-
-func (h wearHeap) Len() int { return len(h) }
-func (h wearHeap) Less(i, j int) bool {
-	if h[i].wear != h[j].wear {
-		return h[i].wear < h[j].wear
-	}
-	return h[i].id < h[j].id
-}
-func (h wearHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *wearHeap) Push(x interface{}) { *h = append(*h, x.(wearEntry)) }
-func (h *wearHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

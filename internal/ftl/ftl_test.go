@@ -14,7 +14,7 @@ func smallGeo() nvm.Geometry {
 
 func newSmall(t *testing.T, cell nvm.CellType) *FTL {
 	t.Helper()
-	f, err := New(smallGeo(), nvm.Params(cell), Config{ReserveSuperblocks: 2})
+	f, err := New(smallGeo(), nvm.Params(cell), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,5 +368,99 @@ func TestStatsReportGrownBad(t *testing.T) {
 	}
 	if after.FreeSuper != before.FreeSuper-1 {
 		t.Fatalf("FreeSuper %d -> %d, want one fewer", before.FreeSuper, after.FreeSuper)
+	}
+}
+
+// TestRetiredFreeSuperblocksLeaveThePool retires two superblocks while they
+// sit in the free pool, then cycles a two-superblock working set through
+// many log fills. A retired superblock must stop counting toward the GC
+// reserve: when it still counted, GC stopped one collection early and
+// allocation found the pool empty.
+func TestRetiredFreeSuperblocksLeaveThePool(t *testing.T) {
+	f := newSmall(t, nvm.SLC)
+	for _, sbi := range []int64{6, 7} {
+		if r := f.RetireBlock(sbi * f.spb); !r.OK || !r.Retired {
+			t.Fatalf("retire free superblock %d: %+v", sbi, r)
+		}
+	}
+	ps := f.PageSize()
+	live := 2 * f.spb
+	for i := int64(0); i < 12*f.spb; i++ {
+		checkOps(t, f, f.Write((i%live)*ps, ps))
+	}
+	checkInvariants(t, f)
+	if st := f.Stats(); st.GCRuns == 0 || st.FreeSuper < 1 {
+		t.Fatalf("stats after %d fills: %+v", 12, st)
+	}
+}
+
+// TestRetireBlockKeepsRelocationRoom fills the log until one free
+// superblock is left, with live data spread over every sealed superblock,
+// then asks to retire that last free superblock. Live data would still fit
+// the survivors, but GC's next collection would need a superblock to
+// relocate into and find none, so the FTL must refuse.
+func TestRetireBlockKeepsRelocationRoom(t *testing.T) {
+	f := newSmall(t, nvm.SLC)
+	ps := f.PageSize()
+	live := 4 * f.spb
+	f.Write(0, live*ps)
+	for i := int64(0); f.usableFree() > 1 || f.writePtr == 0; i++ {
+		f.Write(((i*7)%live)*ps, ps)
+	}
+	last := int64(-1)
+	for i := range f.sb {
+		if f.sb[i].free {
+			last = int64(i)
+		}
+	}
+	if r := f.RetireBlock(last * f.spb); r.OK {
+		t.Fatalf("retired the last free superblock: %+v", r)
+	}
+	for i := int64(0); i < 4*f.spb; i++ {
+		checkOps(t, f, f.Write(((i*7)%live)*ps, ps))
+	}
+	checkInvariants(t, f)
+}
+
+// TestWriteAmplificationMatchesStats pins WriteAmplification to the ratio
+// the Stats doc promises, NANDWrites/HostWrites, after GC has relocated
+// live pages (relocations are already NAND writes; counting them again
+// overstated the ratio).
+func TestWriteAmplificationMatchesStats(t *testing.T) {
+	f := newSmall(t, nvm.SLC)
+	ps := f.PageSize()
+	live := f.Pages() * 3 / 4
+	f.Write(0, live*ps)
+	for i := int64(0); i < f.Pages()/2; i++ {
+		f.Write(((i*7)%live)*ps, ps)
+	}
+	st := f.Stats()
+	if st.RelocatedPages == 0 {
+		t.Fatal("GC never relocated live pages")
+	}
+	if got, want := f.WriteAmplification(), float64(st.NANDWrites)/float64(st.HostWrites); got != want {
+		t.Fatalf("WriteAmplification %v, want NANDWrites/HostWrites %v", got, want)
+	}
+}
+
+// TestNewPreloadAllocs pins the per-cell construction cost at paper
+// geometry: the superblock table is the free pool, so New plus a 96 MiB
+// Preload allocates a handful of objects (the struct, its maps and the
+// table), not one per superblock.
+func TestNewPreloadAllocs(t *testing.T) {
+	for _, cell := range []nvm.CellType{nvm.SLC, nvm.MLC, nvm.TLC, nvm.PCM} {
+		allocs := testing.AllocsPerRun(5, func() {
+			f, err := New(nvm.PaperGeometry(), nvm.Params(cell), Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Preload(96 << 20); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Errorf("%v: New+Preload allocates %.0f objects, want <= 8", cell, allocs)
+		}
+		t.Logf("%v: %.0f allocs", cell, allocs)
 	}
 }

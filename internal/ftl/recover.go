@@ -1,7 +1,6 @@
 package ftl
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -62,7 +61,7 @@ type RecoveryReport struct {
 // superblock's per-page OOB (LPN, version) tags to reconstruct mappings
 // the journal had not yet flushed, classifies torn pages via the ECC
 // ladder, validates every mapping against the media, and rebuilds
-// p2l/valid counts/the wear heap from scratch.
+// p2l, valid counts and the free flags from scratch.
 //
 // A committed-but-unreadable journal page breaks the chain's trust: the
 // FTL then salvages what a full-media OOB scan can prove (highest version
@@ -176,7 +175,6 @@ func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL,
 	// identity slot plays that part.
 	if f.active >= 0 {
 		base := f.active * f.spb
-		prePages := f.preloaded * f.spb
 		for slot := int64(0); slot < f.spb; slot++ {
 			ppn := base + slot
 			rep.ScannedPages++
@@ -191,7 +189,7 @@ func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL,
 			lpn := oob.LPN
 			cur, mapped := f.l2p[lpn]
 			held := mapped
-			if !mapped && lpn < prePages && !f.dead[lpn] {
+			if !mapped && f.liveIdentity(lpn) {
 				cur, held = lpn, true // the live identity slot
 			}
 			apply := oob.Ver > f.dur.ver[lpn]
@@ -204,7 +202,7 @@ func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL,
 				if mapped && cur != ppn {
 					prev[lpn] = superseded{ppn: cur, ver: f.dur.ver[lpn]}
 				}
-				if lpn < prePages && !mapped && !f.dead[lpn] {
+				if !mapped && f.liveIdentity(lpn) {
 					f.dead[lpn] = true
 				}
 				f.l2p[lpn] = ppn
@@ -268,14 +266,12 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 		if old, had := f.l2p[r.A]; had && prev != nil && old != r.B {
 			prev[r.A] = superseded{ppn: old, ver: f.dur.ver[r.A]}
 		}
-		if r.A < f.preloaded*f.spb {
-			if _, had := f.l2p[r.A]; !had && !f.dead[r.A] {
-				// The placement displaces the live identity slot, which
-				// stays the rollback target until the slot is erased.
-				f.dead[r.A] = true
-				if prev != nil {
-					prev[r.A] = superseded{ppn: r.A, ver: f.dur.ver[r.A]}
-				}
+		if _, had := f.l2p[r.A]; !had && f.liveIdentity(r.A) {
+			// The placement displaces the live identity slot, which stays
+			// the rollback target until the slot is erased.
+			f.dead[r.A] = true
+			if prev != nil {
+				prev[r.A] = superseded{ppn: r.A, ver: f.dur.ver[r.A]}
 			}
 		}
 		f.l2p[r.A] = r.B
@@ -290,7 +286,7 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 		if r.V > f.dur.ver[r.A] {
 			f.dur.ver[r.A] = r.V
 		}
-		if r.A < f.preloaded*f.spb {
+		if f.liveIdentity(r.A) {
 			f.dead[r.A] = true
 		}
 	case recSeal:
@@ -313,9 +309,9 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 	}
 }
 
-// rebuild reconstructs everything derivable — p2l, valid counts, free
-// flags, the wear heap — from the validated mapping and the media
-// residue. A writable mount reopens the log head after its last programmed
+// rebuild reconstructs everything derivable — p2l, valid counts and the
+// free flags that make up the free pool — from the validated mapping and
+// the media residue. A writable mount reopens the log head after its last programmed
 // or torn slot; a read-only one seals it. Either way sinceCkpt is
 // saturated, so the next write checkpoints immediately, fencing off any
 // sequence gap the cut left in the journal.
@@ -341,7 +337,7 @@ func (f *FTL) rebuild(m *Media) {
 		valid[ppn/f.spb]++
 	}
 	for p := int64(0); p < f.preloaded*f.spb; p++ {
-		if _, mapped := f.l2p[p]; !mapped && !f.dead[p] {
+		if _, mapped := f.l2p[p]; !mapped && f.liveIdentity(p) {
 			valid[p/f.spb]++
 		}
 	}
@@ -357,21 +353,14 @@ func (f *FTL) rebuild(m *Media) {
 		}
 	}
 	f.grownBad = 0
-	f.freeHeap = f.freeHeap[:0]
 	for i := int64(0); i < f.super; i++ {
 		s := &f.sb[i]
 		s.valid = valid[i]
-		s.sealed = true
 		if s.bad {
 			f.grownBad++
-			s.free = false
-			continue
 		}
-		s.free = residue[i] == 0 && valid[i] == 0
-		if s.free {
-			s.sealed = false
-			heap.Push(&f.freeHeap, wearEntry{id: i, wear: s.wear})
-		}
+		s.free = !s.bad && residue[i] == 0 && valid[i] == 0
+		s.sealed = !s.free
 	}
 	f.active = -1
 	f.writePtr = 0
@@ -460,14 +449,14 @@ func (f *FTL) Mapping(lpn int64) (ppn int64, ver uint64, ok bool) {
 	if p, mapped := f.l2p[lpn]; mapped {
 		return p, f.version(lpn), true
 	}
-	if lpn < f.preloaded*f.spb && !f.dead[lpn] {
+	if f.liveIdentity(lpn) {
 		return lpn, f.version(lpn), true
 	}
 	return 0, f.version(lpn), false
 }
 
 // DumpState renders the FTL's complete logical state deterministically —
-// mappings with versions, dead slots, per-superblock state, the free heap
+// mappings with versions, dead slots, per-superblock state, the free pool
 // — so tests can assert that same seed + same crash point recover to
 // byte-identical state.
 func (f *FTL) DumpState() string {
@@ -495,10 +484,10 @@ func (f *FTL) DumpState() string {
 	for _, lpn := range deads {
 		fmt.Fprintf(&b, "dead %d\n", lpn)
 	}
-	free := append(wearHeap(nil), f.freeHeap...)
-	sort.Slice(free, func(i, j int) bool { return free[i].id < free[j].id })
-	for _, e := range free {
-		fmt.Fprintf(&b, "free %d wear=%d\n", e.id, e.wear)
+	for i, s := range f.sb {
+		if s.free {
+			fmt.Fprintf(&b, "free %d wear=%d\n", i, s.wear)
+		}
 	}
 	return b.String()
 }

@@ -32,13 +32,8 @@ func (f *FTL) Erase(offset, size int64) []nvm.PageOp {
 			delete(f.p2l, ppn)
 			delete(f.l2p, lpn)
 			ops = f.appendRec(ops, rec{Kind: recTrim, A: lpn, V: f.version(lpn)})
-		} else if lpn < f.preloaded*f.spb && !f.dead[lpn] {
-			// An identity slot is invalidated at most once; without the
-			// dead set, re-trimming a page whose identity slot was already
-			// invalidated (by an overwrite or earlier trim) would drive the
-			// preloaded superblock's valid count negative.
-			f.sb[f.superOf(lpn)].valid--
-			f.dead[lpn] = true
+		} else if f.liveIdentity(lpn) {
+			f.dropIdentity(lpn)
 			ops = f.appendRec(ops, rec{Kind: recTrim, A: lpn, V: f.version(lpn)})
 		}
 	}

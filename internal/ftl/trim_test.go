@@ -107,7 +107,6 @@ func TestTrimDeadMapRelocationInterplay(t *testing.T) {
 // fills) and that trimming never emits data-page programs.
 func TestTrimJournalsInDurableMode(t *testing.T) {
 	f, err := New(smallGeo(), nvm.Params(nvm.SLC), Config{
-		ReserveSuperblocks: 2,
 		// One record per flushed page would be pathological; keep the page
 		// small so this test sees journal traffic without thousands of ops.
 		Durable: DurableConfig{Enabled: true, CheckpointEveryPages: 1 << 20, JournalEntriesPerPage: 16},

@@ -103,8 +103,6 @@ type Device struct {
 	tXfer sim.Time // one page's data transfer on the channel bus
 
 	breakdown  Breakdown
-	pal        PALHistogram
-	eraseCount map[Location]int64 // wear accounting per die/plane
 	started    bool
 	firstIssue sim.Time
 	lastEnd    sim.Time
@@ -213,7 +211,6 @@ func NewDevice(geo Geometry, cell CellParams, bus BusParams, link Link, seed uin
 		pkgCover:    make([][]sim.IntervalSet, geo.Channels),
 		chContMark:  make([]sim.Time, geo.Channels),
 		dieContMark: make([][]sim.Time, geo.Channels),
-		eraseCount:  make(map[Location]int64),
 		tCmd:        bus.CommandTime(),
 		// Register staging between a die's page register and the channel
 		// ("flash bus activation"): the internal flash bus runs at twice
@@ -356,7 +353,6 @@ func (d *Device) Submit(at sim.Time, ops []PageOp) sim.Time {
 	case interleave:
 		pal = PAL2
 	}
-	d.pal.Record(pal)
 	d.cPAL[pal-1].Inc()
 	d.hLatency.Observe(end - at)
 	if d.probe.Enabled() {
@@ -923,8 +919,6 @@ func (d *Device) execActivation(issue sim.Time, ops []PageOp, idx []int32) sim.T
 				break
 			}
 			d.cErases.Inc()
-			key := Location{Channel: op.Loc.Channel, Die: op.Loc.Die, Plane: op.Loc.Plane}
-			d.eraseCount[key]++
 			if d.media != nil {
 				d.media.MediaErase(*op, false)
 			}

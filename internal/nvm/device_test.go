@@ -193,12 +193,6 @@ func TestErasePath(t *testing.T) {
 	if d.Stats().Erases != 1 {
 		t.Fatal("erase not counted")
 	}
-	if d.EraseCount(loc) != 1 {
-		t.Fatal("wear accounting missed the erase")
-	}
-	if d.EraseCount(Location{Channel: 0, Die: 0}) != 0 {
-		t.Fatal("wear accounting leaked to other locations")
-	}
 }
 
 func TestDeterminism(t *testing.T) {

@@ -93,11 +93,13 @@ func (d *Device) Stats() Stats {
 		Erases:       d.cErases.Value(),
 		Span:         d.Span(),
 		Breakdown:    d.breakdown,
-		PAL:          d.pal,
 
 		ChannelUtilization: d.ChannelUtilization(),
 		PackageUtilization: d.PackageUtilization(),
 		BusOccupancy:       d.BusOccupancy(),
+	}
+	for i, c := range d.cPAL {
+		st.PAL[i] = c.Value()
 	}
 	d.reg.Gauge("nvm.span_ps").Set(float64(st.Span))
 	d.reg.Gauge("nvm.bandwidth_bps").Set(d.Bandwidth())
@@ -112,10 +114,6 @@ func (d *Device) Stats() Stats {
 	d.reg.Gauge("nvm.breakdown.cell_activation_ps").Set(float64(st.Breakdown.CellActivation))
 	return st
 }
-
-// EraseCount reports how many erases a given die/plane has absorbed, for the
-// wear-leveling substrate and its tests.
-func (d *Device) EraseCount(loc Location) int64 { return d.eraseCount[loc] }
 
 // DieFreeAt reports when the given die's timeline next becomes idle — the
 // physical-availability signal conflict-aware schedulers (PAQ) steer by.

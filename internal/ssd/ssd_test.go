@@ -50,8 +50,10 @@ func TestDefaultsApplied(t *testing.T) {
 	if s.win.Depth() != DefaultQueueDepth {
 		t.Fatalf("queue depth = %d, want default %d", s.win.Depth(), DefaultQueueDepth)
 	}
-	if s.hostOverhead != DefaultHostOverhead {
-		t.Fatal("host overhead default not applied")
+	// An asynchronous request frees the host after the fixed issue cost.
+	s.Submit(trace.BlockOp{Kind: trace.Read, Offset: 0, Size: 4096})
+	if s.clock != DefaultHostOverhead {
+		t.Fatalf("host clock after one async request = %v, want %v", s.clock, DefaultHostOverhead)
 	}
 }
 

@@ -43,7 +43,7 @@ type UFS struct {
 	blockSize int64 // eraseblock size, for erase accounting
 	next      int64
 	extents   map[string]*Extent
-	erased    map[int64]bool  // eraseblock index -> clean
+	dirty     map[int64]bool  // eraseblock index -> written since erase; absent means erased
 	wear      map[int64]int64 // eraseblock index -> erase count
 
 	probe obs.Probe
@@ -65,12 +65,9 @@ func New(capacity, blockSize int64) (*UFS, error) {
 		capacity:  capacity,
 		blockSize: blockSize,
 		extents:   make(map[string]*Extent),
-		erased:    make(map[int64]bool),
+		dirty:     make(map[int64]bool),
 		wear:      make(map[int64]int64),
 		probe:     obs.Nop{},
-	}
-	for b := int64(0); b < capacity/blockSize; b++ {
-		u.erased[b] = true
 	}
 	return u, nil
 }
@@ -166,12 +163,12 @@ func (u *UFS) Write(name string, off, size int64) ([]trace.BlockOp, error) {
 	first := (e.Offset + off) / u.blockSize
 	last := (e.Offset + off + size - 1) / u.blockSize
 	for b := first; b <= last; b++ {
-		if !u.erased[b] {
+		if u.dirty[b] {
 			return nil, fmt.Errorf("ufs: write %q: eraseblock %d not erased (erase-before-write)", name, b)
 		}
 	}
 	for b := first; b <= last; b++ {
-		u.erased[b] = false
+		u.dirty[b] = true
 	}
 	u.probe.Count("ufs.writes", 1)
 	u.probe.Count("ufs.write_bytes", size)
@@ -191,7 +188,7 @@ func (u *UFS) Erase(name string) ([]trace.BlockOp, error) {
 	last := (e.End() - 1) / u.blockSize
 	var ops []trace.BlockOp
 	for b := first; b <= last; b++ {
-		u.erased[b] = true
+		delete(u.dirty, b)
 		u.wear[b]++
 		ops = append(ops, trace.BlockOp{Kind: trace.Erase, Offset: b * u.blockSize, Size: u.blockSize, Meta: true})
 	}
