@@ -66,7 +66,7 @@ bench-gate:
 # per-request pins, then profile one Figure 7a matrix and print where its
 # heap objects come from (the runtime heap profile's alloc_objects top list).
 bench-alloc:
-	$(GO) test -run='PerSiteAllocBudget|SteadyStateAlloc|NewPreloadAllocs' -count=1 -v \
+	$(GO) test -run='PerSiteAllocBudget|SteadyStateAlloc|NewPreloadAllocs|FiguresWritePatternAllocs' -count=1 -v \
 		./internal/experiment ./internal/ftl ./internal/ssd ./internal/obs ./internal/obs/attrib ./internal/sim
 	@mkdir -p profile
 	$(GO) run ./cmd/oocbench -fig 7a -matrix 96 -hostperf -memprofile profile/bench-alloc.pprof

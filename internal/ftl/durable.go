@@ -345,7 +345,7 @@ func (f *FTL) maybeCheckpoint(ops []nvm.PageOp) []nvm.PageOp {
 // snapshot equal to a full replay).
 func (f *FTL) checkpoint(ops []nvm.PageOp) []nvm.PageOp {
 	ops = f.flushJournal(ops)
-	recs := make([]rec, 0, 2+len(f.l2p)+len(f.dead))
+	recs := make([]rec, 0, 2+f.l2p.len()+f.dead.len())
 	recs = append(recs, rec{Kind: recPreload, A: f.preloaded})
 	recs = append(recs, rec{Kind: recActive, A: f.active, B: f.writePtr})
 	for i := int64(0); i < f.super; i++ {
@@ -359,29 +359,19 @@ func (f *FTL) checkpoint(ops []nvm.PageOp) []nvm.PageOp {
 		}
 		recs = append(recs, rec{Kind: recState, A: i, B: flags, V: uint64(s.wear)})
 	}
-	deads := make([]int64, 0, len(f.dead))
-	for lpn := range f.dead {
-		deads = append(deads, lpn)
-	}
-	sort.Slice(deads, func(i, j int) bool { return deads[i] < deads[j] })
-	for _, lpn := range deads {
+	f.dead.each(func(lpn, _ int64) {
 		recs = append(recs, rec{Kind: recDead, A: lpn})
-	}
-	lpns := make([]int64, 0, len(f.l2p))
-	for lpn := range f.l2p {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
-	for _, lpn := range lpns {
-		recs = append(recs, rec{Kind: recPlace, A: lpn, B: f.l2p[lpn], V: f.version(lpn)})
-	}
+	})
+	f.l2p.each(func(lpn, ppn int64) {
+		recs = append(recs, rec{Kind: recPlace, A: lpn, B: ppn, V: f.version(lpn)})
+	})
 	if f.dur != nil {
 		extra := make([]int64, 0)
 		for lpn, v := range f.dur.ver {
 			if v == 0 {
 				continue
 			}
-			if _, mapped := f.l2p[lpn]; !mapped {
+			if !f.l2p.has(lpn) {
 				extra = append(extra, lpn)
 			}
 		}

@@ -10,6 +10,7 @@
 package ftl
 
 import (
+	"errors"
 	"fmt"
 
 	"oocnvm/internal/nvm"
@@ -28,13 +29,14 @@ type FTL struct {
 	spb   int64 // pages per superblock: rowsz * ppb
 	super int64 // number of superblocks
 
-	l2p map[int64]int64 // overrides; absent means identity (preloaded layout)
-	p2l map[int64]int64 // reverse map for relocation
+	l2p pageTable // overrides; absent means identity (preloaded layout)
+	p2l pageTable // reverse map for relocation
 	// dead marks preloaded-region identity slots that are no longer valid
 	// (overwritten or trimmed). Without it a trim of an overwritten
 	// preloaded page would double-decrement the superblock's valid count,
-	// and retirement could relocate stale identity data.
-	dead map[int64]bool
+	// and retirement could relocate stale identity data. A set: stored
+	// values are 0.
+	dead pageTable
 
 	// sb is the superblock table and the only record of the free pool: a
 	// superblock is allocatable exactly when its free flag is set.
@@ -125,6 +127,10 @@ type Config struct {
 	Durable DurableConfig
 }
 
+// errTooManyPages rejects a geometry whose page numbers overflow the page
+// table's int32 entries.
+var errTooManyPages = errors.New("ftl: geometry exceeds the page table's range")
+
 // New creates an FTL over the given geometry and medium.
 func New(geo nvm.Geometry, cell nvm.CellParams, cfg Config) (*FTL, error) {
 	if err := geo.Validate(); err != nil {
@@ -136,13 +142,13 @@ func New(geo nvm.Geometry, cell nvm.CellParams, cfg Config) (*FTL, error) {
 		rowsz:  int64(geo.Channels * cell.Planes * geo.DiesPerChannel()),
 		ppb:    int64(cell.PagesPerBlock),
 		super:  int64(geo.BlocksPerPlane),
-		l2p:    make(map[int64]int64),
-		p2l:    make(map[int64]int64),
-		dead:   make(map[int64]bool),
 		active: -1,
 		probe:  obs.Nop{},
 	}
 	f.spb = f.rowsz * f.ppb
+	if f.Pages() > maxEntry {
+		return nil, fmt.Errorf("%w: %d pages, at most %d", errTooManyPages, f.Pages(), int64(maxEntry))
+	}
 	f.sb = make([]superblock, f.super)
 	for i := range f.sb {
 		f.sb[i].free = true
@@ -222,7 +228,7 @@ func (f *FTL) Preload(bytes int64) error {
 // liveIdentity reports whether lpn's preloaded identity slot still holds
 // live data: inside the preloaded extent, neither overwritten nor trimmed.
 func (f *FTL) liveIdentity(lpn int64) bool {
-	return lpn < f.preloaded*f.spb && !f.dead[lpn]
+	return lpn < f.preloaded*f.spb && !f.dead.has(lpn)
 }
 
 // dropIdentity invalidates lpn's live identity slot. The dead mark makes
@@ -230,13 +236,13 @@ func (f *FTL) liveIdentity(lpn int64) bool {
 // superblock's valid count negative.
 func (f *FTL) dropIdentity(lpn int64) {
 	f.sb[f.superOf(lpn)].valid--
-	f.dead[lpn] = true
+	f.dead.set(lpn, 0)
 }
 
 // lookup returns the physical page currently holding lpn.
 func (f *FTL) lookup(lpn int64) int64 {
 	f.probe.Count("ftl.map.lookups", 1)
-	if ppn, ok := f.l2p[lpn]; ok {
+	if ppn, ok := f.l2p.get(lpn); ok {
 		f.probe.Count("ftl.map.remapped", 1)
 		return ppn
 	}
@@ -309,17 +315,17 @@ func (f *FTL) program(ops []nvm.PageOp, lpn int64, host bool) []nvm.PageOp {
 		}
 	}
 	// Invalidate the previous version.
-	old, had := f.l2p[lpn]
+	old, had := f.l2p.get(lpn)
 	if had {
 		f.sb[f.superOf(old)].valid--
-		delete(f.p2l, old)
+		f.p2l.del(old)
 	} else if f.liveIdentity(lpn) {
 		f.dropIdentity(lpn) // overwriting identity-mapped preloaded data
 	}
 	ppn := f.active*f.spb + f.writePtr
 	f.writePtr++
-	f.l2p[lpn] = ppn
-	f.p2l[ppn] = lpn
+	f.l2p.set(lpn, ppn)
+	f.p2l.set(ppn, lpn)
 	if f.tap != nil {
 		f.tap.MapWrite(lpn, ppn)
 	}
@@ -575,7 +581,7 @@ func (f *FTL) RetireBlock(ppn int64) nvm.Retirement {
 // (neither overwritten nor trimmed). GC and block retirement share this
 // walk, so a preloaded superblock is reclaimable like any other.
 func (f *FTL) relocatePage(ops []nvm.PageOp, p int64) ([]nvm.PageOp, bool) {
-	lpn, mapped := f.p2l[p]
+	lpn, mapped := f.p2l.get(p)
 	if !mapped {
 		if !f.liveIdentity(p) {
 			return ops, false
@@ -585,8 +591,8 @@ func (f *FTL) relocatePage(ops []nvm.PageOp, p int64) ([]nvm.PageOp, bool) {
 	ops = append(ops, nvm.PageOp{Op: nvm.OpRead, Loc: f.Locate(p), PPN: p})
 	f.relocated++
 	if mapped {
-		delete(f.p2l, p)
-		delete(f.l2p, lpn)
+		f.p2l.del(p)
+		f.l2p.del(lpn)
 		f.sb[f.superOf(p)].valid--
 	}
 	// program() invalidates a preloaded identity slot itself (marking it

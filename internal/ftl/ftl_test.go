@@ -445,8 +445,8 @@ func TestWriteAmplificationMatchesStats(t *testing.T) {
 
 // TestNewPreloadAllocs pins the per-cell construction cost at paper
 // geometry: the superblock table is the free pool, so New plus a 96 MiB
-// Preload allocates a handful of objects (the struct, its maps and the
-// table), not one per superblock.
+// Preload allocates a handful of objects (the struct and the table), not
+// one per superblock; the page tables allocate nothing until a first store.
 func TestNewPreloadAllocs(t *testing.T) {
 	for _, cell := range []nvm.CellType{nvm.SLC, nvm.MLC, nvm.TLC, nvm.PCM} {
 		allocs := testing.AllocsPerRun(5, func() {

@@ -6,25 +6,46 @@ import (
 	"oocnvm/internal/nvm"
 )
 
-// checkInvariants asserts the FTL's structural invariants: the forward and
-// reverse maps are mutually inverse, per-superblock valid counts match the
-// population they summarize and never leave [0, spb], no mapped or
-// allocatable state points at a grown-bad superblock, and the active
-// superblock is sane.
+// checkInvariants asserts the FTL's structural invariants: each page
+// table's count equals its walk, the forward and reverse maps are mutually
+// inverse, every dead slot lies inside the preloaded extent, per-superblock
+// valid counts match the population they summarize and never leave
+// [0, spb], no mapped or allocatable state points at a grown-bad
+// superblock, and the active superblock is sane.
 func checkInvariants(t *testing.T, f *FTL) {
 	t.Helper()
-	if len(f.l2p) != len(f.p2l) {
-		t.Fatalf("map sizes diverge: l2p %d, p2l %d", len(f.l2p), len(f.p2l))
+	walked := func(name string, pt *pageTable) {
+		n := int64(0)
+		pt.each(func(int64, int64) { n++ })
+		if n != pt.len() {
+			t.Fatalf("%s count %d but walk visits %d", name, pt.len(), n)
+		}
 	}
-	for lpn, ppn := range f.l2p {
-		if back, ok := f.p2l[ppn]; !ok || back != lpn {
+	walked("l2p", &f.l2p)
+	walked("p2l", &f.p2l)
+	walked("dead", &f.dead)
+	if f.l2p.len() != f.p2l.len() {
+		t.Fatalf("map sizes diverge: l2p %d, p2l %d", f.l2p.len(), f.p2l.len())
+	}
+	f.l2p.each(func(lpn, ppn int64) {
+		if back, ok := f.p2l.get(ppn); !ok || back != lpn {
 			t.Fatalf("l2p[%d]=%d but p2l[%d]=%d (present %v)", lpn, ppn, ppn, back, ok)
 		}
 		if f.sb[f.superOf(ppn)].bad {
 			t.Fatalf("lpn %d mapped onto grown-bad superblock %d", lpn, f.superOf(ppn))
 		}
-	}
+	})
+	f.p2l.each(func(ppn, lpn int64) {
+		if fwd, ok := f.l2p.get(lpn); !ok || fwd != ppn {
+			t.Fatalf("p2l[%d]=%d but l2p[%d]=%d (present %v)", ppn, lpn, lpn, fwd, ok)
+		}
+	})
 	pre := f.preloaded * f.spb
+	f.dead.each(func(lpn, _ int64) {
+		if lpn < 0 || lpn >= pre {
+			t.Fatalf("dead slot %d outside the preloaded extent [0, %d)", lpn, pre)
+		}
+	})
 	for v := int64(0); v < f.super; v++ {
 		s := &f.sb[v]
 		if s.valid < 0 || s.valid > f.spb {
@@ -35,9 +56,9 @@ func checkInvariants(t *testing.T, f *FTL) {
 		}
 		want := int64(0)
 		for p := v * f.spb; p < (v+1)*f.spb; p++ {
-			if _, ok := f.p2l[p]; ok {
+			if f.p2l.has(p) {
 				want++
-			} else if p < pre && !f.dead[p] {
+			} else if p < pre && !f.dead.has(p) {
 				want++ // surviving identity-mapped preloaded page
 			}
 		}

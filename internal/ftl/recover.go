@@ -187,7 +187,7 @@ func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL,
 				continue
 			}
 			lpn := oob.LPN
-			cur, mapped := f.l2p[lpn]
+			cur, mapped := f.l2p.get(lpn)
 			held := mapped
 			if !mapped && f.liveIdentity(lpn) {
 				cur, held = lpn, true // the live identity slot
@@ -203,9 +203,9 @@ func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL,
 					prev[lpn] = superseded{ppn: cur, ver: f.dur.ver[lpn]}
 				}
 				if !mapped && f.liveIdentity(lpn) {
-					f.dead[lpn] = true
+					f.dead.set(lpn, 0)
 				}
-				f.l2p[lpn] = ppn
+				f.l2p.set(lpn, ppn)
 				f.dur.ver[lpn] = oob.Ver
 				rep.RecoveredMaps++
 			}
@@ -220,26 +220,21 @@ func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL,
 	// version, and it is still untorn on media (erasing it would have
 	// required GC work past the tear). Only when no durable copy exists —
 	// data that was never acknowledged — is the mapping dropped.
-	lpns := make([]int64, 0, len(f.l2p))
-	for lpn := range f.l2p {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
-	for _, lpn := range lpns {
-		if got, ok := m.data[f.l2p[lpn]]; ok && got.LPN == lpn {
-			continue
+	f.l2p.each(func(lpn, ppn int64) {
+		if got, ok := m.data[ppn]; ok && got.LPN == lpn {
+			return
 		}
 		if pc, had := prev[lpn]; had {
 			if pg, ok := m.data[pc.ppn]; ok && pg.LPN == lpn && pg.Ver == pc.ver {
-				f.l2p[lpn] = pc.ppn
+				f.l2p.set(lpn, pc.ppn)
 				f.dur.ver[lpn] = pc.ver
 				rep.RolledBackMaps++
-				continue
+				return
 			}
 		}
-		delete(f.l2p, lpn)
+		f.l2p.del(lpn)
 		rep.DroppedMaps++
-	}
+	})
 
 	f.rebuild(m)
 	f.finishReport(&rep, cell)
@@ -263,23 +258,24 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 	case recActive, recAlloc:
 		f.active = r.A
 	case recPlace:
-		if old, had := f.l2p[r.A]; had && prev != nil && old != r.B {
+		old, had := f.l2p.get(r.A)
+		if had && prev != nil && old != r.B {
 			prev[r.A] = superseded{ppn: old, ver: f.dur.ver[r.A]}
 		}
-		if _, had := f.l2p[r.A]; !had && f.liveIdentity(r.A) {
+		if !had && f.liveIdentity(r.A) {
 			// The placement displaces the live identity slot, which stays
 			// the rollback target until the slot is erased.
-			f.dead[r.A] = true
+			f.dead.set(r.A, 0)
 			if prev != nil {
 				prev[r.A] = superseded{ppn: r.A, ver: f.dur.ver[r.A]}
 			}
 		}
-		f.l2p[r.A] = r.B
+		f.l2p.set(r.A, r.B)
 		if r.V > f.dur.ver[r.A] {
 			f.dur.ver[r.A] = r.V
 		}
 	case recTrim:
-		delete(f.l2p, r.A)
+		f.l2p.del(r.A)
 		// The copy the trimmed placement displaced is stale too: a later
 		// torn placement of this lpn must not roll back onto it.
 		delete(prev, r.A)
@@ -287,7 +283,7 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 			f.dur.ver[r.A] = r.V
 		}
 		if f.liveIdentity(r.A) {
-			f.dead[r.A] = true
+			f.dead.set(r.A, 0)
 		}
 	case recSeal:
 		// Informational: recovery seals every superblock anyway.
@@ -301,7 +297,7 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 	case recRetire:
 		f.sb[r.A].bad = true
 	case recDead:
-		f.dead[r.A] = true
+		f.dead.set(r.A, 0)
 	case recVer:
 		if r.V > f.dur.ver[r.A] {
 			f.dur.ver[r.A] = r.V
@@ -322,22 +318,14 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 // into.
 func (f *FTL) rebuild(m *Media) {
 	open := f.active
-	for ppn := range f.p2l {
-		delete(f.p2l, ppn)
-	}
-	lpns := make([]int64, 0, len(f.l2p))
-	for lpn := range f.l2p {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
+	f.p2l = pageTable{}
 	valid := make([]int64, f.super)
-	for _, lpn := range lpns {
-		ppn := f.l2p[lpn]
-		f.p2l[ppn] = lpn
+	f.l2p.each(func(lpn, ppn int64) {
+		f.p2l.set(ppn, lpn)
 		valid[ppn/f.spb]++
-	}
+	})
 	for p := int64(0); p < f.preloaded*f.spb; p++ {
-		if _, mapped := f.l2p[p]; !mapped && f.liveIdentity(p) {
+		if !f.l2p.has(p) && f.liveIdentity(p) {
 			valid[p/f.spb]++
 		}
 	}
@@ -404,9 +392,7 @@ func (f *FTL) salvage(m *Media, rep RecoveryReport, corruptSeq int64) (*FTL, Rec
 	// Partial replay state is discarded wholesale — except the preload
 	// extent, whose genesis record precedes any corruption by
 	// construction and which the identity fallback depends on.
-	f.l2p = make(map[int64]int64)
-	f.p2l = make(map[int64]int64)
-	f.dead = make(map[int64]bool)
+	f.l2p, f.p2l, f.dead = pageTable{}, pageTable{}, pageTable{}
 	f.dur.ver = make(map[int64]uint64)
 	ppns := make([]int64, 0, len(m.data))
 	for ppn := range m.data {
@@ -421,8 +407,8 @@ func (f *FTL) salvage(m *Media, rep RecoveryReport, corruptSeq int64) (*FTL, Rec
 		if oob.LPN < 0 {
 			continue
 		}
-		if _, mapped := f.l2p[oob.LPN]; !mapped || oob.Ver >= f.dur.ver[oob.LPN] {
-			f.l2p[oob.LPN] = ppn
+		if !f.l2p.has(oob.LPN) || oob.Ver >= f.dur.ver[oob.LPN] {
+			f.l2p.set(oob.LPN, ppn)
 			f.dur.ver[oob.LPN] = oob.Ver
 		}
 	}
@@ -432,8 +418,8 @@ func (f *FTL) salvage(m *Media, rep RecoveryReport, corruptSeq int64) (*FTL, Rec
 		}
 	}
 	for p := int64(0); p < f.preloaded*f.spb; p++ {
-		if ppn, mapped := f.l2p[p]; !mapped || ppn != p {
-			f.dead[p] = true
+		if ppn, mapped := f.l2p.get(p); !mapped || ppn != p {
+			f.dead.set(p, 0)
 		}
 	}
 	f.rebuild(m)
@@ -446,7 +432,7 @@ func (f *FTL) salvage(m *Media, rep RecoveryReport, corruptSeq int64) (*FTL, Rec
 // preloaded-identity — exists. Crash checks use it to compare recovered
 // state against the shadow oracle's acked history.
 func (f *FTL) Mapping(lpn int64) (ppn int64, ver uint64, ok bool) {
-	if p, mapped := f.l2p[lpn]; mapped {
+	if p, mapped := f.l2p.get(lpn); mapped {
 		return p, f.version(lpn), true
 	}
 	if f.liveIdentity(lpn) {
@@ -468,22 +454,12 @@ func (f *FTL) DumpState() string {
 		fmt.Fprintf(&b, "sb %d: valid=%d wear=%d sealed=%v free=%v bad=%v\n",
 			i, s.valid, s.wear, s.sealed, s.free, s.bad)
 	}
-	lpns := make([]int64, 0, len(f.l2p))
-	for lpn := range f.l2p {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
-	for _, lpn := range lpns {
-		fmt.Fprintf(&b, "map %d -> %d v%d\n", lpn, f.l2p[lpn], f.version(lpn))
-	}
-	deads := make([]int64, 0, len(f.dead))
-	for lpn := range f.dead {
-		deads = append(deads, lpn)
-	}
-	sort.Slice(deads, func(i, j int) bool { return deads[i] < deads[j] })
-	for _, lpn := range deads {
+	f.l2p.each(func(lpn, ppn int64) {
+		fmt.Fprintf(&b, "map %d -> %d v%d\n", lpn, ppn, f.version(lpn))
+	})
+	f.dead.each(func(lpn, _ int64) {
 		fmt.Fprintf(&b, "dead %d\n", lpn)
-	}
+	})
 	for i, s := range f.sb {
 		if s.free {
 			fmt.Fprintf(&b, "free %d wear=%d\n", i, s.wear)

@@ -27,10 +27,10 @@ func (f *FTL) Erase(offset, size int64) []nvm.PageOp {
 		if f.tap != nil {
 			f.tap.MapTrim(lpn)
 		}
-		if ppn, ok := f.l2p[lpn]; ok {
+		if ppn, ok := f.l2p.get(lpn); ok {
 			f.sb[f.superOf(ppn)].valid--
-			delete(f.p2l, ppn)
-			delete(f.l2p, lpn)
+			f.p2l.del(ppn)
+			f.l2p.del(lpn)
 			ops = f.appendRec(ops, rec{Kind: recTrim, A: lpn, V: f.version(lpn)})
 		} else if f.liveIdentity(lpn) {
 			f.dropIdentity(lpn)

@@ -32,7 +32,7 @@ func TestTrimOpenSuperblockPages(t *testing.T) {
 		t.Fatalf("open superblock valid = %d after trim, want %d", got, before-4)
 	}
 	for lpn := int64(0); lpn < 4; lpn++ {
-		if _, ok := f.l2p[lpn]; ok {
+		if f.l2p.has(lpn) {
 			t.Fatalf("lpn %d still mapped after trim", lpn)
 		}
 	}
@@ -58,7 +58,7 @@ func TestTrimDeadMapRelocationInterplay(t *testing.T) {
 	// Trim a band inside preloaded superblock 0: identity slots die.
 	checkOps(t, f, f.Erase(0, 4*ps))
 	for lpn := int64(0); lpn < 4; lpn++ {
-		if !f.dead[lpn] {
+		if !f.dead.has(lpn) {
 			t.Fatalf("identity slot %d not dead after trim", lpn)
 		}
 	}
@@ -87,16 +87,16 @@ func TestTrimDeadMapRelocationInterplay(t *testing.T) {
 	}
 	// The dead band must never have been resurrected by relocation.
 	for lpn := int64(0); lpn < 4; lpn++ {
-		if _, ok := f.l2p[lpn]; ok {
+		if f.l2p.has(lpn) {
 			t.Fatalf("trimmed identity slot %d resurrected by GC", lpn)
 		}
-		if !f.dead[lpn] {
+		if !f.dead.has(lpn) {
 			t.Fatalf("identity slot %d lost its dead mark", lpn)
 		}
 	}
 	// Writing a dead slot again revives it as a normal mapped page.
 	checkOps(t, f, f.Write(0, ps))
-	if _, ok := f.l2p[0]; !ok {
+	if !f.l2p.has(0) {
 		t.Fatal("write after trim did not remap lpn 0")
 	}
 	checkInvariants(t, f)
