@@ -2,6 +2,10 @@ GO ?= go
 
 .PHONY: all build vet test race check fmt fuzz cover bench bench-smoke bench-gate bench-alloc benchdiff profile simcheck chaos
 FUZZTIME ?= 10s
+# Minimizing a new interesting input defaults to a 60 s budget per input,
+# longer than a whole soak: the coordinator then sits at 0 execs/s until
+# the fuzz time runs out. Bound it so a short soak keeps fuzzing.
+FUZZFLAGS = -run=^$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 
 all: check
 
@@ -24,11 +28,11 @@ fmt:
 # workload-codec, checkpoint torn-write and power-cut crash-recovery
 # harnesses; FUZZTIME=1m make fuzz for a longer soak.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzFTLMapping -fuzztime=$(FUZZTIME) ./internal/ftl
-	$(GO) test -run=^$$ -fuzz=FuzzReadClassify -fuzztime=$(FUZZTIME) ./internal/fault
-	$(GO) test -run=^$$ -fuzz=FuzzWorkloadRoundTrip -fuzztime=$(FUZZTIME) ./internal/check
-	$(GO) test -run=^$$ -fuzz=FuzzCkptTornWrite -fuzztime=$(FUZZTIME) ./internal/ckpt
-	$(GO) test -run=^$$ -fuzz=FuzzCrashRecovery -fuzztime=$(FUZZTIME) ./internal/check
+	$(GO) test $(FUZZFLAGS) -fuzz=FuzzFTLMapping ./internal/ftl
+	$(GO) test $(FUZZFLAGS) -fuzz=FuzzReadClassify ./internal/fault
+	$(GO) test $(FUZZFLAGS) -fuzz=FuzzWorkloadRoundTrip ./internal/check
+	$(GO) test $(FUZZFLAGS) -fuzz=FuzzCkptTornWrite ./internal/ckpt
+	$(GO) test $(FUZZFLAGS) -fuzz=FuzzCrashRecovery ./internal/check
 
 # One pass over every figure/table benchmark, archived as JSON for diffing
 # between commits and appended to the continuous-bench history the HTML

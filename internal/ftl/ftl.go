@@ -257,12 +257,25 @@ func (f *FTL) Read(offset, size int64) []nvm.PageOp {
 		return nil
 	}
 	ops := f.takeOps(int(last - first + 1))
+	total := f.Pages()
+	var (
+		prev int64
+		loc  nvm.Location
+	)
 	for lpn := first; lpn <= last; lpn++ {
-		ppn := f.lookup(lpn) % f.Pages()
+		ppn := f.lookup(lpn) % total
 		if f.tap != nil {
 			f.tap.MapRead(lpn, ppn)
 		}
-		ops = append(ops, nvm.PageOp{Op: nvm.OpRead, Loc: f.Locate(ppn), PPN: ppn})
+		// A run of consecutive physical pages steps its location; the
+		// first page, a remapped page and the wrap to page 0 translate.
+		if lpn > first && ppn == prev+1 {
+			loc = f.geo.NextLogical(loc, f.cell.Planes)
+		} else {
+			loc = f.Locate(ppn)
+		}
+		prev = ppn
+		ops = append(ops, nvm.PageOp{Op: nvm.OpRead, Loc: loc, PPN: ppn})
 	}
 	return ops
 }

@@ -114,6 +114,35 @@ func TestWriteThenReadRemapped(t *testing.T) {
 	}
 }
 
+// TestReadRunLocationsMatchLocate reads runs over remapped pages — a lone
+// overwritten page, a run of overwritten pages the log placed consecutively,
+// and the wrap past the device's last page — and requires every op's
+// location to be Locate of its physical page.
+func TestReadRunLocationsMatchLocate(t *testing.T) {
+	f := newSmall(t, nvm.SLC)
+	ps := f.PageSize()
+	f.Write(5*ps, ps)
+	f.Write(20*ps, 6*ps)
+	for _, run := range []struct{ first, n int64 }{
+		{0, 32},
+		{5, 1},
+		{f.Pages() - 4, 8},
+	} {
+		remapped := 0
+		for i, op := range f.Read(run.first*ps, run.n*ps) {
+			if lpn := run.first + int64(i); op.PPN != lpn%f.Pages() {
+				remapped++
+			}
+			if want := f.Locate(op.PPN); op.Loc != want {
+				t.Fatalf("run %+v page %d: ppn %d at %+v, Locate gives %+v", run, i, op.PPN, op.Loc, want)
+			}
+		}
+		if run.first <= 5 && remapped == 0 {
+			t.Fatalf("run %+v read no remapped page", run)
+		}
+	}
+}
+
 func TestPreload(t *testing.T) {
 	f := newSmall(t, nvm.SLC)
 	if err := f.Preload(f.CapacityBytes() / 2); err != nil {

@@ -151,3 +151,52 @@ func TestNetworkGenerations(t *testing.T) {
 		}
 	}
 }
+
+// transferSizes alternates page sizes, repeats one, and includes a zero-byte
+// transfer, so a memoized wire time must follow every size change.
+var transferSizes = []int64{4096, 4096, 2048, 8192, 8192, 2048, 0, 4096, 16384, 2048}
+
+// TestLineTransferMatchesPerCallDuration books alternating transfer sizes on
+// a Line and requires the same start and completion instants a timeline
+// booked with a fresh sim.DurationForBytes per call gives.
+func TestLineTransferMatchesPerCallDuration(t *testing.T) {
+	cfg := PCIeConfig{Gen: PCIeGen3, Lanes: 4}
+	l := NewPCIeLine(cfg)
+	var ref sim.Timeline
+	at := sim.Time(0)
+	for round := 0; round < 3; round++ {
+		for i, n := range transferSizes {
+			_, want := ref.Acquire(at, sim.DurationForBytes(n, cfg.EffectiveBytesPerSec()))
+			if got := l.Transfer(at, n); got != want {
+				t.Fatalf("round %d transfer %d (%d bytes) at %d: end %d, want %d", round, i, n, at, got, want)
+			}
+			at += sim.Time(i%3) * sim.Microsecond // some transfers queue, some start idle
+		}
+	}
+	if l.Busy() != ref.Busy() {
+		t.Fatalf("busy %d, want %d", l.Busy(), ref.Busy())
+	}
+}
+
+// TestChainTransferMatchesPerCallDuration does the same through a two-stage
+// chain whose stages run at different rates.
+func TestChainTransferMatchesPerCallDuration(t *testing.T) {
+	pcie := PCIeConfig{Gen: PCIeGen2, Lanes: 8, Bridged: true}
+	net := QDR4XInfiniBand()
+	c := IONPath(pcie, net)
+	rates := []float64{pcie.EffectiveBytesPerSec(), net.EffectiveBytesPerSec()}
+	ref := make([]sim.Timeline, len(rates))
+	at := sim.Time(0)
+	for round := 0; round < 3; round++ {
+		for i, n := range transferSizes {
+			want := at
+			for s, bps := range rates {
+				_, want = ref[s].Acquire(want, sim.DurationForBytes(n, bps))
+			}
+			if got := c.Transfer(at, n); got != want {
+				t.Fatalf("round %d transfer %d (%d bytes) at %d: end %d, want %d", round, i, n, at, got, want)
+			}
+			at += sim.Time(i%3) * sim.Microsecond
+		}
+	}
+}

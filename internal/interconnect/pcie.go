@@ -90,6 +90,11 @@ type Line struct {
 	bps      float64
 	overhead sim.Time
 
+	// The wire time of the last transfer size: a device moves one page
+	// size over and over, so the float division runs once per size change.
+	lastN   int64
+	lastDur sim.Time
+
 	probe obs.Probe
 	// Metric names are prebuilt at SetProbe time so the transfer hot path
 	// never concatenates strings.
@@ -121,7 +126,10 @@ func (l *Line) Name() string { return l.name }
 
 // Transfer books n bytes no earlier than at and returns the completion time.
 func (l *Line) Transfer(at sim.Time, n int64) sim.Time {
-	start, end := l.tl.Acquire(at, sim.DurationForBytes(n, l.bps))
+	if n != l.lastN {
+		l.lastN, l.lastDur = n, sim.DurationForBytes(n, l.bps)
+	}
+	start, end := l.tl.Acquire(at, l.lastDur)
 	if l.probe.Enabled() {
 		l.probe.Span(obs.LayerInterconnect, l.name, "xfer", start, end)
 		l.probe.Count(l.bytesCounter, n)

@@ -18,11 +18,17 @@ type spanLog struct {
 	bus map[int][][2]sim.Time    // channel -> spans
 	n   int                      // spans kept
 	rr  int                      // read-retry spans among them
+
+	dev     *Device // when set, the pending cover spans are sampled per span
+	midPeak int     // the largest pending count seen inside a Submit
 }
 
 func (l *spanLog) Enabled() bool { return true }
 
 func (l *spanLog) Span(layer, track, name string, start, end sim.Time, attrs ...obs.Attr) {
+	if l.dev != nil {
+		l.midPeak = max(l.midPeak, l.dev.PendingCoverSpans())
+	}
 	var c, die int
 	if _, err := fmt.Sscanf(track, "ch%d/die%d", &c, &die); err == nil {
 		l.die[[2]int{c, die}] = append(l.die[[2]int{c, die}], [2]sim.Time{start, end})
@@ -71,20 +77,25 @@ func (nopMedia) MediaErase(PageOp, bool)   {}
 // mode, with read-retry faults, behind the durable erase barrier, and with
 // the non-monotone issue instants a drive's retirement recovery produces
 // (a resubmission at one request's end, then the next host request issued
-// earlier). A mark below a set's watermark panics in IntervalSet.Add.
+// earlier). The long cases add single requests of hundreds of pages on one
+// channel, so the sets also fold mid-batch on the coverFoldMarks bound. A
+// mark below a set's watermark panics in IntervalSet.Add.
 func TestCoverSetsMatchProbeUnion(t *testing.T) {
 	cases := []struct {
 		name           string
 		cell           CellType
 		cache, durable bool
 		fault          string
+		long           bool
 	}{
-		{"sync", MLC, false, false, "none"},
-		{"cache", MLC, true, false, "none"},
-		{"retry", TLC, false, false, "eol"},
-		{"retry-cache", TLC, true, false, "eol"},
-		{"durable", MLC, false, true, "none"},
-		{"all", TLC, true, true, "eol"},
+		{"sync", MLC, false, false, "none", false},
+		{"cache", MLC, true, false, "none", false},
+		{"retry", TLC, false, false, "eol", false},
+		{"retry-cache", TLC, true, false, "eol", false},
+		{"durable", MLC, false, true, "none", false},
+		{"all", TLC, true, true, "eol", false},
+		{"long", MLC, false, false, "none", true},
+		{"long-all", TLC, true, true, "eol", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,6 +107,7 @@ func TestCoverSetsMatchProbeUnion(t *testing.T) {
 			}
 			log := &spanLog{die: map[[2]int][][2]sim.Time{}, bus: map[int][][2]sim.Time{}}
 			d.SetProbe(log)
+			log.dev = d
 			if tc.cache {
 				d.EnableCacheMode()
 			}
@@ -121,7 +133,12 @@ func TestCoverSetsMatchProbeUnion(t *testing.T) {
 			peak := 0
 			for req := 0; req < 600; req++ {
 				ops = ops[:0]
-				for n := 1 + rng.Intn(24); n > 0; n-- {
+				n := 1 + rng.Intn(24)
+				long := tc.long && req%10 == 0
+				if long {
+					n = 600 + rng.Intn(200)
+				}
+				for ; n > 0; n-- {
 					kind := OpRead
 					switch r := rng.Intn(10); {
 					case r >= 9:
@@ -130,6 +147,9 @@ func TestCoverSetsMatchProbeUnion(t *testing.T) {
 						kind = OpProgram
 					}
 					ppn := rng.Int63n(pages)
+					if long {
+						ppn -= ppn % int64(geo.Channels) // all on channel 0
+					}
 					ops = append(ops, PageOp{Op: kind, Loc: geo.MapLogical(ppn, cell.Planes), PPN: ppn})
 				}
 				at := host
@@ -167,11 +187,16 @@ func TestCoverSetsMatchProbeUnion(t *testing.T) {
 			if (tc.fault != "none") != (log.rr > 0) {
 				t.Errorf("%d read-retry spans under fault profile %q", log.rr, tc.fault)
 			}
-			t.Logf("peak pending %d, spans %d, retries %d", peak, log.n, log.rr)
+			t.Logf("peak pending %d (%d within a request), spans %d, retries %d", peak, log.midPeak, log.n, log.rr)
 			// The fold must actually have run: the sets hold a small
 			// fraction of the spans they were given.
 			if peak*20 > log.n {
 				t.Errorf("peak pending cover spans %d of %d marked: the sets are not folding", peak, log.n)
+			}
+			// Inside a long request the sets fold every coverFoldMarks
+			// marks, not only once the request's batch is done.
+			if tc.long && log.midPeak > peak+coverFoldMarks {
+				t.Errorf("pending cover spans reached %d within a request, %d after: the sets are not folding mid-batch", log.midPeak, peak)
 			}
 		})
 	}

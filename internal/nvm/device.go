@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"oocnvm/internal/fault"
 	"oocnvm/internal/obs"
@@ -83,12 +84,13 @@ type Device struct {
 
 	// Busy-union trackers for the paper's "kept busy" utilization probes:
 	// a channel counts as busy while its bus or any die behind it works; a
-	// package counts as busy while any of its dies works. After every
-	// activation foldCover folds the activation's two sets at their
-	// timeline watermark, so they hold only spans a later booking could
-	// still overlap.
-	chCover  []sim.IntervalSet   // per channel
-	pkgCover [][]sim.IntervalSet // [channel][packageInChannel]
+	// package counts as busy while any of its dies works. foldChannel folds
+	// a channel's sets at their timeline watermarks after every batch that
+	// touched the channel, and after every coverFoldMarks marks within one,
+	// so they hold only spans a later booking could still overlap.
+	chCover    []sim.IntervalSet   // per channel
+	pkgCover   [][]sim.IntervalSet // [channel][packageInChannel]
+	coverMarks []int               // per channel: marks since its last fold
 
 	// Contention watermarks deduplicate queueing time: when many
 	// transactions wait on the same busy resource, the busy period is
@@ -132,6 +134,8 @@ type Device struct {
 	// scheduling allocates nothing. Activations are ranges of scGroups, so
 	// they are valid only until the next batch is scheduled.
 	scBuckets [][]int32      // per (channel, die) op buckets, layout order
+	scTouched []uint64       // bitmap of the non-empty buckets
+	scChans   []int          // channels the batch touches, ascending
 	scDieActs [][]activation // per non-empty die activation sequences
 	scOut     []activation   // round-robin interleaved dispatch order
 	scErase   []activation   // durable-mode erase-barrier holdbacks
@@ -154,6 +158,10 @@ type Device struct {
 	attGCSvc []sim.Time
 	// attActGC marks the activation currently executing as all-GC traffic.
 	attActGC bool
+
+	// Page reads and programs of the current Submit, flushed into their
+	// counters once per request.
+	nReads, nProgs int64
 
 	// The device's work counters and latency histogram live in a private
 	// obs.Registry so Stats is assembled from the registry in one place and
@@ -209,6 +217,10 @@ func NewDevice(geo Geometry, cell CellParams, bus BusParams, link Link, seed uin
 		dies:        make([][]sim.Timeline, geo.Channels),
 		chCover:     make([]sim.IntervalSet, geo.Channels),
 		pkgCover:    make([][]sim.IntervalSet, geo.Channels),
+		coverMarks:  make([]int, geo.Channels),
+		scBuckets:   make([][]int32, geo.Dies()),
+		scTouched:   make([]uint64, (geo.Dies()+63)/64),
+		scChans:     make([]int, 0, geo.Channels),
 		chContMark:  make([]sim.Time, geo.Channels),
 		dieContMark: make([][]sim.Time, geo.Channels),
 		tCmd:        bus.CommandTime(),
@@ -354,6 +366,7 @@ func (d *Device) Submit(at sim.Time, ops []PageOp) sim.Time {
 		pal = PAL2
 	}
 	d.cPAL[pal-1].Inc()
+	d.flushCounts()
 	d.hLatency.Observe(end - at)
 	if d.probe.Enabled() {
 		d.probe.Span(obs.LayerNVM, "device", "submit", at, end,
@@ -365,9 +378,24 @@ func (d *Device) Submit(at sim.Time, ops []PageOp) sim.Time {
 	return end
 }
 
+// flushCounts moves the request's page tallies into the work counters.
+func (d *Device) flushCounts() {
+	if d.nReads > 0 {
+		d.cReads.Add(d.nReads)
+		d.cBytesRd.Add(d.nReads * d.Cell.PageSize)
+		d.nReads = 0
+	}
+	if d.nProgs > 0 {
+		d.cProgs.Add(d.nProgs)
+		d.cBytesWr.Add(d.nProgs * d.Cell.PageSize)
+		d.nProgs = 0
+	}
+}
+
 // runBatch schedules ops and executes their activations from start; issue
 // is the request's issue instant, and any wait between the two is charged
-// like the erase barrier's.
+// like the erase barrier's. It folds the cover sets of every channel the
+// batch touched once its activations have run.
 func (d *Device) runBatch(issue, start sim.Time, ops []PageOp, attributing bool) (end sim.Time, multiplane, interleave bool) {
 	acts, interleave := d.schedule(ops)
 	eraseActs := d.scErase[:0]
@@ -392,6 +420,9 @@ func (d *Device) runBatch(issue, start sim.Time, ops []PageOp, attributing bool)
 		for _, a := range eraseActs {
 			end = sim.MaxTime(end, d.runActivation(barrier, barrier-issue, ops, a, attributing))
 		}
+	}
+	for _, c := range d.scChans {
+		d.foldChannel(c)
 	}
 	return end, multiplane, interleave
 }
@@ -424,7 +455,8 @@ scan:
 }
 
 // runActivation executes one activation of the batch ops at issueAt with
-// its attribution chain, then folds the cover sets it marked. pre is the
+// its attribution chain, then folds its channel's cover sets if they have
+// taken more than coverFoldMarks marks since their last fold. pre is the
 // already-elapsed time from the request's issue instant (the durable-mode
 // erase barrier); it is charged to the Meta component so the chain still
 // telescopes from issue to completion. After a power cut the remaining
@@ -461,8 +493,9 @@ func (d *Device) runActivation(issueAt, pre sim.Time, ops []PageOp, a activation
 	if attributing {
 		d.att.EndActivation(done)
 	}
-	loc := ops[idx[0]].Loc
-	d.foldCover(loc.Channel, loc.Die)
+	if c := ops[idx[0]].Loc.Channel; d.coverMarks[c] > coverFoldMarks {
+		d.foldChannel(c)
+	}
 	return done
 }
 
@@ -474,91 +507,56 @@ func (d *Device) runActivation(issueAt, pre sim.Time, ops []PageOp, a activation
 // so that shared resources — the channel buses and the host link — are booked
 // in approximate time order, the way the controller actually dispatches work
 // across dies. It also reports die interleaving (some channel drives more
-// than one die) for the request's PAL classification.
+// than one die) for the request's PAL classification, and lists the channels
+// the batch touches in scChans.
 //
+// Only the buckets the batch fills are visited: a bitmap records them as
+// they fill, and walking its set bits in ascending order is layout order.
+// Each bucket is emptied as it is consumed, so the next call starts clean.
 // Everything is built in the device's persistent scratch: the returned
 // activations are valid only until the next call.
 func (d *Device) schedule(ops []PageOp) (out []activation, interleave bool) {
 	dpc := d.Geo.DiesPerChannel()
 	planes := d.Cell.Planes
-	if n := d.Geo.Channels * dpc; len(d.scBuckets) != n {
-		d.scBuckets = make([][]int32, n)
-	}
 	if planes > 1 && len(d.scPlane) != planes {
 		d.scPlane = make([][]int32, planes)
 		d.scPlaneHd = make([]int, planes)
 	}
-	buckets := d.scBuckets
-	for i := range buckets {
-		buckets[i] = buckets[i][:0]
-	}
+	buckets, touched := d.scBuckets, d.scTouched
 	d.scGroups = d.scGroups[:0]
 	for i := range ops {
 		idx := ops[i].Loc.Channel*dpc + ops[i].Loc.Die
+		if len(buckets[idx]) == 0 {
+			touched[idx>>6] |= 1 << (idx & 63)
+		}
 		buckets[idx] = append(buckets[idx], int32(i))
 	}
 
 	nDie, maxLen := 0, 0
-	curCh, chDies := -1, 0
-	for idx, bucket := range buckets {
-		if len(bucket) == 0 {
-			continue
-		}
-		if ch := idx / dpc; ch != curCh {
-			curCh, chDies = ch, 0
-		}
-		if chDies++; chDies > 1 {
-			interleave = true
-		}
-		if nDie == len(d.scDieActs) {
-			d.scDieActs = append(d.scDieActs, nil)
-		}
-		acts := d.scDieActs[nDie][:0]
-		if planes <= 1 {
-			for _, i := range bucket {
-				d.scGroups = append(d.scGroups, i)
-				n := int32(len(d.scGroups))
-				acts = append(acts, activation{n - 1, n})
+	chans := d.scChans[:0]
+	chEnd := 0 // first bucket past the current channel
+	for w, word := range touched {
+		touched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			idx := w<<6 + bits.TrailingZeros64(word)
+			if idx >= chEnd {
+				ch := idx / dpc
+				chans = append(chans, ch)
+				chEnd = (ch + 1) * dpc
+			} else {
+				interleave = true
 			}
-		} else {
-			// Queue per plane, preserving arrival order; heads advance as
-			// rounds consume them.
-			for p := 0; p < planes; p++ {
-				d.scPlane[p] = d.scPlane[p][:0]
-				d.scPlaneHd[p] = 0
+			if nDie == len(d.scDieActs) {
+				d.scDieActs = append(d.scDieActs, nil)
 			}
-			for _, i := range bucket {
-				p := ops[i].Loc.Plane % planes
-				d.scPlane[p] = append(d.scPlane[p], i)
-			}
-			for {
-				gstart := len(d.scGroups)
-				var verb Op
-				for p := 0; p < planes; p++ {
-					if d.scPlaneHd[p] >= len(d.scPlane[p]) {
-						continue
-					}
-					head := d.scPlane[p][d.scPlaneHd[p]]
-					if len(d.scGroups) == gstart {
-						verb = ops[head].Op
-					} else if ops[head].Op != verb {
-						continue // different verb cannot share an activation
-					}
-					d.scGroups = append(d.scGroups, head)
-					d.scPlaneHd[p]++
-				}
-				if len(d.scGroups) == gstart {
-					break
-				}
-				acts = append(acts, activation{int32(gstart), int32(len(d.scGroups))})
-			}
-		}
-		d.scDieActs[nDie] = acts
-		nDie++
-		if len(acts) > maxLen {
-			maxLen = len(acts)
+			acts := d.mergeDie(ops, buckets[idx], d.scDieActs[nDie][:0])
+			buckets[idx] = buckets[idx][:0]
+			d.scDieActs[nDie] = acts
+			nDie++
+			maxLen = max(maxLen, len(acts))
 		}
 	}
+	d.scChans = chans
 
 	out = d.scOut[:0]
 	for i := 0; i < maxLen; i++ {
@@ -572,27 +570,80 @@ func (d *Device) schedule(ops []PageOp) (out []activation, interleave bool) {
 	return out, interleave
 }
 
-// foldCover folds the cover sets of a channel and of a die's package at
-// their watermarks. Every later booking on a die or a bus starts at or after
-// that timeline's free horizon (sim.Timeline.Acquire), and cache-mode
+// mergeDie appends to acts the activations of one die's bucket of op
+// indices, in arrival order: one per op on a single-plane medium, otherwise
+// rounds that take the head of every plane queue sharing the round's verb.
+func (d *Device) mergeDie(ops []PageOp, bucket []int32, acts []activation) []activation {
+	planes := d.Cell.Planes
+	if planes <= 1 {
+		for _, i := range bucket {
+			d.scGroups = append(d.scGroups, i)
+			n := int32(len(d.scGroups))
+			acts = append(acts, activation{n - 1, n})
+		}
+		return acts
+	}
+	// Queue per plane, preserving arrival order; heads advance as rounds
+	// consume them.
+	for p := 0; p < planes; p++ {
+		d.scPlane[p] = d.scPlane[p][:0]
+		d.scPlaneHd[p] = 0
+	}
+	for _, i := range bucket {
+		p := ops[i].Loc.Plane % planes
+		d.scPlane[p] = append(d.scPlane[p], i)
+	}
+	for {
+		gstart := len(d.scGroups)
+		var verb Op
+		for p := 0; p < planes; p++ {
+			if d.scPlaneHd[p] >= len(d.scPlane[p]) {
+				continue
+			}
+			head := d.scPlane[p][d.scPlaneHd[p]]
+			if len(d.scGroups) == gstart {
+				verb = ops[head].Op
+			} else if ops[head].Op != verb {
+				continue // different verb cannot share an activation
+			}
+			d.scGroups = append(d.scGroups, head)
+			d.scPlaneHd[p]++
+		}
+		if len(d.scGroups) == gstart {
+			return acts
+		}
+		acts = append(acts, activation{int32(gstart), int32(len(d.scGroups))})
+	}
+}
+
+// coverFoldMarks bounds the marks a channel's cover sets take between folds.
+// A batch folds the channels it touched when it ends, but a large request
+// (a GC sweep, a long sequential read) would otherwise grow the sets with
+// its whole length before that.
+const coverFoldMarks = 32
+
+// foldChannel folds the cover sets of a channel and of each of its packages
+// at their watermarks. Every later booking on a die or a bus starts at or
+// after that timeline's free horizon (sim.Timeline.Acquire), and cache-mode
 // staging, which is not booked, starts at or after its die's; so no later
 // mark on a set can start before the least horizon among the resources
-// feeding it — the bus and every die for a channel, the package's dies for
-// a package. A die that is never booked holds its sets' watermark at 0.
-func (d *Device) foldCover(c, die int) {
+// feeding it — the bus and every die for a channel, the package's dies
+// (p, p+PackagesPerChannel, ...) for a package. A die that is never booked
+// holds its sets' watermark at 0.
+func (d *Device) foldChannel(c int) {
 	dies := d.dies[c]
 	ppc := d.Geo.PackagesPerChannel
-	pkg := d.Geo.Package(die)
-	chW, pkgW := d.chanBus[c].FreeAt(), dies[pkg].FreeAt()
-	for i := range dies {
-		f := dies[i].FreeAt()
-		chW = min(chW, f)
-		if i%ppc == pkg {
-			pkgW = min(pkgW, f)
+	chW := d.chanBus[c].FreeAt()
+	for p := range d.pkgCover[c] {
+		w := dies[p].FreeAt()
+		for i := p + ppc; i < len(dies); i += ppc {
+			w = min(w, dies[i].FreeAt())
 		}
+		d.pkgCover[c][p].Fold(w)
+		chW = min(chW, w)
 	}
 	d.chCover[c].Fold(chW)
-	d.pkgCover[c][pkg].Fold(pkgW)
+	d.coverMarks[c] = 0
 }
 
 // PendingCoverSpans reports the largest pending (unfolded) span count over
@@ -612,6 +663,7 @@ func (d *Device) PendingCoverSpans() int {
 // markChan records channel busy time for the utilization probes.
 func (d *Device) markChan(c int, start, end sim.Time) {
 	d.chCover[c].Add(start, end)
+	d.coverMarks[c]++
 }
 
 // markDie records die busy time: the die's package is busy, and so is the
@@ -619,6 +671,7 @@ func (d *Device) markChan(c int, start, end sim.Time) {
 func (d *Device) markDie(c, die int, start, end sim.Time) {
 	d.chCover[c].Add(start, end)
 	d.pkgCover[c][d.Geo.Package(die)].Add(start, end)
+	d.coverMarks[c]++
 }
 
 // chargeDieWait charges the wait [from, start) on a die to cell contention,
@@ -783,8 +836,7 @@ func (d *Device) execActivation(issue sim.Time, ops []PageOp, idx []int32) sim.T
 			}
 			end = sim.MaxTime(end, de)
 		}
-		d.cReads.Add(pages)
-		d.cBytesRd.Add(pages * d.Cell.PageSize)
+		d.nReads += pages
 		if attributing && critEnd > ae {
 			d.att.Seg(attrib.DieService, critStage)
 			d.att.Seg(attrib.BusWait, critBusW)
@@ -844,8 +896,7 @@ func (d *Device) execActivation(issue sim.Time, ops []PageOp, idx []int32) sim.T
 			}
 			cursor = xe
 		}
-		d.cProgs.Add(pages)
-		d.cBytesWr.Add(pages * d.Cell.PageSize)
+		d.nProgs += pages
 		// One program covers all merged planes.
 		lat := d.Cell.ProgramLatency(d.rng)
 		ps, pe := die.Acquire(cursor, lat)

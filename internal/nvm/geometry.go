@@ -86,10 +86,31 @@ func (g Geometry) MapLogical(lpn int64, planes int) Location {
 	}
 	c := int64(g.Channels)
 	p := int64(planes)
-	d := int64(g.DiesPerChannel())
+	q := lpn / c
+	r := q / p // lpn / (C*P)
 	return Location{
-		Channel: int(lpn % c),
-		Plane:   int((lpn / c) % p),
-		Die:     int((lpn / (c * p)) % d),
+		Channel: int(lpn - q*c),
+		Plane:   int(q - r*p),
+		Die:     int(r % int64(g.DiesPerChannel())),
 	}
+}
+
+// NextLogical returns MapLogical(lpn+1, planes) given loc ==
+// MapLogical(lpn, planes): one mixed-radix increment of (channel, plane,
+// die), with no division. The last location of a stripe period steps back
+// to the first, as the device's last page steps to page 0. Translators walk
+// a run of consecutive physical pages with it.
+func (g Geometry) NextLogical(loc Location, planes int) Location {
+	if loc.Channel++; loc.Channel < g.Channels {
+		return loc
+	}
+	loc.Channel = 0
+	if loc.Plane++; loc.Plane < max(planes, 1) {
+		return loc
+	}
+	loc.Plane = 0
+	if loc.Die++; loc.Die == g.DiesPerChannel() {
+		loc.Die = 0
+	}
+	return loc
 }

@@ -113,3 +113,39 @@ func TestPackageAssignment(t *testing.T) {
 		t.Fatal("consecutive dies share a package; interleaved wiring expected")
 	}
 }
+
+// Property: NextLogical is MapLogical's successor. Over two full stripe
+// periods from page 0 and across the device's last-page-to-page-0 wrap,
+// stepping the location of page x gives the location of page x+1, for every
+// cell type at paper geometry and at a 3-channel × 6-die geometry whose
+// radices are not powers of two.
+func TestNextLogicalStepsMapLogical(t *testing.T) {
+	geos := []Geometry{
+		PaperGeometry(),
+		{Channels: 3, PackagesPerChannel: 3, DiesPerPackage: 2, BlocksPerPlane: 4},
+	}
+	for _, g := range geos {
+		for _, ct := range CellTypes {
+			cell := Params(ct)
+			period := int64(g.Channels * cell.Planes * g.DiesPerChannel())
+			pages := g.Pages(cell)
+			step := func(x int64) {
+				next := x + 1
+				if next == pages {
+					next = 0
+				}
+				got := g.NextLogical(g.MapLogical(x, cell.Planes), cell.Planes)
+				if want := g.MapLogical(next, cell.Planes); got != want {
+					t.Fatalf("%+v %v: NextLogical(MapLogical(%d)) = %+v, MapLogical(%d) = %+v",
+						g, ct, x, got, next, want)
+				}
+			}
+			for x := int64(0); x < 2*period; x++ {
+				step(x)
+			}
+			for x := pages - 2*period; x < pages; x++ {
+				step(x)
+			}
+		}
+	}
+}

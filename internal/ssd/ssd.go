@@ -168,16 +168,31 @@ func (d *Direct) mapRange(op nvm.Op, offset, size int64) []nvm.PageOp {
 	last := (offset + size - 1) / d.Cell.PageSize
 	total := d.pages()
 	ops := d.takeOps(int(last - first + 1))
-	for lpn := first; lpn <= last; lpn++ {
-		ppn := d.redirect(lpn % total)
+	var (
+		prev int64
+		loc  nvm.Location
+	)
+	for lpn, wrapped := first, first%total; lpn <= last; lpn++ {
+		ppn := d.redirect(wrapped)
 		if d.tap != nil {
 			if op == nvm.OpProgram {
-				d.tap.MapWrite(lpn%total, ppn)
+				d.tap.MapWrite(wrapped, ppn)
 			} else {
-				d.tap.MapRead(lpn%total, ppn)
+				d.tap.MapRead(wrapped, ppn)
 			}
 		}
-		ops = append(ops, nvm.PageOp{Op: op, Loc: d.Geo.MapLogical(ppn, d.Cell.Planes), PPN: ppn})
+		// A run of consecutive physical pages steps its location; the
+		// first page, a redirected page and the wrap to page 0 translate.
+		if lpn > first && ppn == prev+1 {
+			loc = d.Geo.NextLogical(loc, d.Cell.Planes)
+		} else {
+			loc = d.Geo.MapLogical(ppn, d.Cell.Planes)
+		}
+		prev = ppn
+		ops = append(ops, nvm.PageOp{Op: op, Loc: loc, PPN: ppn})
+		if wrapped++; wrapped == total {
+			wrapped = 0
+		}
 	}
 	return ops
 }

@@ -181,6 +181,41 @@ func TestDirectCapacityWraps(t *testing.T) {
 	}
 }
 
+// TestDirectRunLocationsMatchMapLogical reads runs that cross a bad-block
+// redirect and the device's wrap to page 0, and requires every op's
+// location to be MapLogical of its physical page: stepping a run must
+// re-translate wherever the physical pages stop being consecutive.
+func TestDirectRunLocationsMatchMapLogical(t *testing.T) {
+	geo := nvm.Geometry{Channels: 3, PackagesPerChannel: 1, DiesPerPackage: 2, BlocksPerPlane: 40}
+	cell := nvm.Params(nvm.SLC)
+	d := NewDirect(geo, cell)
+	ps := cell.PageSize
+	if r := d.RetireBlock(5); !r.OK || !r.Retired {
+		t.Fatalf("retire failed: %+v", r)
+	}
+	total := d.pages()
+	row := d.rowSize()
+	for _, run := range []struct{ first, n int64 }{
+		{0, 3 * row},           // crosses the redirected page in rows 0, 1 and 2
+		{5, 2},                 // starts on a redirected page
+		{total - row, 2 * row}, // wraps past the last page
+	} {
+		redirected := 0
+		for i, op := range d.Read(run.first*ps, run.n*ps) {
+			lpn := (run.first + int64(i)) % total
+			if op.PPN != lpn {
+				redirected++
+			}
+			if want := geo.MapLogical(op.PPN, cell.Planes); op.Loc != want {
+				t.Fatalf("run %+v page %d: ppn %d at %+v, MapLogical gives %+v", run, i, op.PPN, op.Loc, want)
+			}
+		}
+		if run.first < row && redirected == 0 {
+			t.Fatalf("run %+v read no redirected page", run)
+		}
+	}
+}
+
 func TestReplayDeterministic(t *testing.T) {
 	mk := func() Result {
 		s := newSSD(t, testConfig(nvm.MLC))
